@@ -57,8 +57,6 @@ func main() {
 	dseNeighbors := flag.Int("dse-neighbors", 0, "dse perturbations per beam genome per generation (0 = default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	strictSPM := flag.Bool("strict-spm", true, "fail experiments on SPM overflow in the simulator; =false tolerates over-budget schedules")
-	regenGolden := flag.Bool("regen-golden", false, "regenerate the simulator golden files under internal/{sim,trace}/testdata and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage of %s:\n", os.Args[0])
 		flag.PrintDefaults()
@@ -66,16 +64,8 @@ func main() {
 	}
 	flag.Parse()
 	parallel.SetWorkers(*jobs)
-	experiments.StrictSPM = *strictSPM
 	if *metricsOnly {
 		*which = "metrics"
-	}
-
-	if *regenGolden {
-		if err := regenGoldens(); err != nil {
-			fatal("", err)
-		}
-		return
 	}
 
 	if *cpuProfile != "" {

@@ -18,7 +18,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -49,15 +48,6 @@ import (
 	"repro/internal/trace"
 )
 
-// runSim is the selected simulator engine (-engine flag). Recovery
-// re-simulation always uses the production engine; the two are held
-// bit-identical by the sim package's equivalence tests.
-var runSim = sim.Run
-
-// noSPMCheck disables the simulator's SPM admission check
-// (-strict-spm=false); both engines honor it identically.
-var noSPMCheck bool
-
 func main() {
 	model := flag.String("model", "MobileNetV2", "benchmark model name")
 	cores := flag.Int("cores", 3, "number of NPU cores")
@@ -67,8 +57,8 @@ func main() {
 	traceOut := flag.String("trace", "", "write Chrome trace JSON to this file")
 	gantt := flag.Int("gantt", 0, "print a text Gantt chart this many columns wide")
 	mem := flag.Bool("mem", false, "profile SPM occupancy per core")
-	metricsFlag := flag.Bool("metrics", false, "print the structured utilization report (event engine only)")
-	metricsOut := flag.String("metrics-out", "", "write the structured metrics report as JSON to this file (event engine only)")
+	metricsFlag := flag.Bool("metrics", false, "print the structured utilization report")
+	metricsOut := flag.String("metrics-out", "", "write the structured metrics report as JSON to this file")
 	dseFlag := flag.Bool("dse", false, "run the schedule design-space explorer on the model instead of a one-shot simulation; -config is the heuristic baseline to beat")
 	dseSeed := flag.Uint64("dse-seed", 1, "seed for the -dse search (same seed, same result at any -j)")
 	dseRestarts := flag.Int("dse-restarts", 0, "-dse hill-climbing restarts (0 = default)")
@@ -79,8 +69,6 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 0, "seed for probabilistic fault decisions")
 	watchdog := flag.Float64("watchdog", 0, "fault mode: progress-watchdog heartbeat in cycles (0 = off); silent hangs become typed detections the recovery path survives")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for partition planning and reference kernels (1 forces serial)")
-	engine := flag.String("engine", "event", "simulator engine: event (production) or reference (retained oracle; bit-identical, for A/B checks)")
-	strictSPM := flag.Bool("strict-spm", true, "exit non-zero when simulated live SPM bytes overflow a core's capacity; =false tolerates over-budget schedules")
 	tenantsSpec := flag.String("tenants", "", `multi-tenant serving mode: comma-separated tenant spec, e.g. "cam=MobileNetV2:prio=2:slo=9000,seg=DeepLabV3+:arrive=5000"`)
 	tenantsHorizon := flag.Float64("tenants-horizon", 0, "tenants mode: simulated serving window in us (0 = 20000)")
 	tenantsOut := flag.String("tenants-out", "", "tenants mode: write the report as JSON to this file")
@@ -96,19 +84,8 @@ func main() {
 	}
 	flag.Parse()
 	parallel.SetWorkers(*jobs)
-	noSPMCheck = !*strictSPM
 
 	mo := metricsOpts{print: *metricsFlag, out: *metricsOut}
-	switch *engine {
-	case "event":
-	case "reference":
-		runSim = sim.RunReference
-		if mo.wanted() {
-			fatal(errors.New("-metrics/-metrics-out need the event engine (the reference oracle stays unobserved)"))
-		}
-	default:
-		fatal(fmt.Errorf("unknown engine %q (event, reference)", *engine))
-	}
 
 	if *serveAddr != "" {
 		runServe(*serveAddr, serve.Options{
@@ -156,7 +133,6 @@ func main() {
 			Iters:     *dseIters,
 			Beam:      *dseBeam,
 			Neighbors: *dseNeighbors,
-			Sim:       sim.Config{NoSPMCheck: noSPMCheck},
 		})
 		return
 	}
@@ -183,7 +159,7 @@ func main() {
 
 	needTrace := *traceOut != "" || *gantt > 0 || *mem
 	col := mo.collector()
-	out, err := runSim(res.Program, sim.Config{CollectTrace: needTrace, Hook: col.hook(), NoSPMCheck: noSPMCheck})
+	out, err := sim.Run(res.Program, sim.Config{CollectTrace: needTrace, Hook: col.hook()})
 	if err != nil {
 		fatal(err)
 	}
@@ -251,7 +227,6 @@ func runTenants(a *arch.Arch, spec string, horizonUS float64, out string, opt co
 		HorizonUS: horizonUS,
 		Opt:       opt,
 		OptSet:    true,
-		Sim:       sim.Config{NoSPMCheck: noSPMCheck},
 	})
 	if err != nil {
 		fatal(err)
@@ -330,34 +305,25 @@ func runFaulted(g *graph.Graph, a *arch.Arch, opt core.Options, res *core.Result
 	}
 
 	col := mo.collector()
-	simCfg := sim.Config{Faults: plan, WatchdogCycles: watchdog, Hook: col.hook(), NoSPMCheck: noSPMCheck}
-	out, err := runSim(res.Program, simCfg)
-	if err == nil {
-		fmt.Printf("%s on %s, %s under faults [%s]: %.1f us end-to-end\n",
-			g.Name, a.Name, opt.Name(), plan, out.Stats.LatencyMicros(clock))
-		printRetries(out.Stats.PerCore)
-		printCorruptions(out.Corruptions)
-		emit(&out.Stats)
-		return
-	}
-	var cf *sim.CoreFailure
-	var hd *sim.HangDetected
-	switch {
-	case errors.As(err, &cf):
-		emit(&cf.Partial)
-	case errors.As(err, &hd):
-		emit(&hd.Partial)
-	default:
+	rec, err := recovery.Run(g, a, res.Program, recovery.Options{
+		Opt: opt,
+		Sim: sim.Config{Faults: plan, WatchdogCycles: watchdog, Hook: col.hook()},
+	})
+	if err != nil {
+		if l, ok := sim.LossOf(err); ok {
+			emit(l.Partial) // the recovery could not finish; report the first attempt
+		}
 		fatal(err)
 	}
-
-	rec, rerr := recovery.RecoverFrom(g, a, err, recovery.Options{
-		Opt: opt,
-		Sim: sim.Config{Faults: plan, WatchdogCycles: watchdog, NoSPMCheck: noSPMCheck},
-	})
-	if rerr != nil {
-		fatal(err) // exit with the original typed failure, not the recovery error
+	if !rec.Degraded() {
+		fmt.Printf("%s on %s, %s under faults [%s]: %.1f us end-to-end\n",
+			g.Name, a.Name, opt.Name(), plan, rec.Final.Stats.LatencyMicros(clock))
+		printRetries(rec.Final.Stats.PerCore)
+		printCorruptions(rec.Final.Corruptions)
+		emit(&rec.Final.Stats)
+		return
 	}
+	emit(rec.FirstAttempt())
 	fmt.Printf("%s on %s, %s under faults [%s]: degraded but recovered\n",
 		g.Name, a.Name, opt.Name(), plan)
 	for _, f := range rec.Failures {
@@ -399,7 +365,7 @@ func simulateFile(path, traceOut string, gantt int, mo metricsOpts) {
 		fatal(err)
 	}
 	col := mo.collector()
-	out, err := runSim(p, sim.Config{CollectTrace: traceOut != "" || gantt > 0, Hook: col.hook(), NoSPMCheck: noSPMCheck})
+	out, err := sim.Run(p, sim.Config{CollectTrace: traceOut != "" || gantt > 0, Hook: col.hook()})
 	if err != nil {
 		fatal(err)
 	}

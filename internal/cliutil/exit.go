@@ -27,7 +27,7 @@ const (
 	// same invocation cannot succeed.
 	ExitUnfit = 3
 	// ExitSPMOverflow: simulated live SPM bytes overflowed a core's
-	// capacity under -strict-spm (sim.SPMOverflowError).
+	// capacity (sim.SPMOverflowError).
 	ExitSPMOverflow = 4
 	// ExitCannotFit: a single layer's minimal tile exceeds the SPM
 	// budget (tiling.CannotFitError).
@@ -92,7 +92,7 @@ const ExitCodeDoc = `Exit codes:
   1  unclassified error
   2  bad command-line usage
   3  schedule cannot fit SPM after all fallbacks (unfit)
-  4  simulated SPM overflow under -strict-spm
+  4  simulated SPM overflow
   5  a single layer's minimal tile exceeds SPM
   6  core failure (injected fault, unrecovered)
   7  canceled or deadline exceeded

@@ -62,7 +62,7 @@ var (
 // CompileCached is Compile with memoization keyed by Fingerprint. The
 // returned Result shares the cached Program/Plans/Strata (treat them
 // as read-only, which every consumer — simulator, reports, validators
-// — already does). Concurrent calls for the same key may both compile;
+// — already does) and has CacheHit set when no compile ran. Concurrent calls for the same key may both compile;
 // the results are bit-identical, and the first store wins.
 func CompileCached(g *graph.Graph, a *arch.Arch, opt Options) (*Result, error) {
 	return CompileCachedCtx(nil, g, a, opt)
@@ -78,6 +78,7 @@ func CompileCachedCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Opt
 	if v, ok := compileCache.Load(key); ok {
 		cacheHits.Add(1)
 		res := *v.(*Result)
+		res.CacheHit = true
 		return &res, nil
 	}
 	cacheMisses.Add(1)
@@ -88,14 +89,6 @@ func CompileCachedCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Opt
 	v, _ := compileCache.LoadOrStore(key, res)
 	out := *v.(*Result)
 	return &out, nil
-}
-
-// Cached reports whether a compilation point is already memoized (a
-// CompileCached call would hit). Serving layers use it to label
-// responses; the answer is advisory under concurrency.
-func Cached(g *graph.Graph, a *arch.Arch, opt Options) bool {
-	_, ok := compileCache.Load(Fingerprint(g, a, opt))
-	return ok
 }
 
 // CacheStats reports cumulative CompileCached hits and misses.

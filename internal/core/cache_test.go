@@ -62,6 +62,23 @@ func TestCompileCachedBitIdentical(t *testing.T) {
 	if hits, misses := CacheStats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
+	// The hit flag is exact per call, and the stored entry never
+	// carries it: a third lookup is marked again, and the entry the
+	// cache holds stays unmarked.
+	if fresh.CacheHit || miss.CacheHit || !hit.CacheHit {
+		t.Errorf("CacheHit: fresh %v, miss %v, hit %v; want false, false, true",
+			fresh.CacheHit, miss.CacheHit, hit.CacheHit)
+	}
+	again, err := CompileCached(g, a, Stratum())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit {
+		t.Error("second hit not marked")
+	}
+	if v, ok := compileCache.Load(Fingerprint(g, a, Stratum())); !ok || v.(*Result).CacheHit {
+		t.Error("stored cache entry is missing or carries the hit mark")
+	}
 	if hit.Program != miss.Program {
 		t.Error("cache hit rebuilt the program instead of sharing it")
 	}

@@ -239,4 +239,8 @@ type Result struct {
 	Fallback FallbackLevel
 	// Downgrades records each fallback step taken and why.
 	Downgrades []Downgrade
+	// CacheHit marks a Result that CompileCached served from the cache
+	// without compiling. It is exact per call, and the stored entry
+	// never carries it.
+	CacheHit bool
 }

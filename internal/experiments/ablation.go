@@ -286,7 +286,7 @@ func ThroughputSweep(model string, batch int) ([]ThroughputRow, error) {
 		if err != nil {
 			return ThroughputRow{}, fmt.Errorf("throughput %s: %w", opt.Name(), err)
 		}
-		period, _, err := sim.Throughput(res.Program, batch, simConfig())
+		period, _, err := sim.Throughput(res.Program, batch, sim.Config{})
 		if err != nil {
 			return ThroughputRow{}, err
 		}
@@ -397,7 +397,7 @@ func Concurrent() ([]ConcurrentRow, error) {
 		both, err := sim.RunConcurrent(a, []sim.Placement{
 			{Program: r1.Program, Cores: []int{0, 1}},
 			{Program: r2.Program, Cores: []int{2}},
-		}, simConfig())
+		}, sim.Config{})
 		if err != nil {
 			return ConcurrentRow{}, err
 		}

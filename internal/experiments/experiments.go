@@ -25,17 +25,6 @@ import (
 	"repro/internal/stats"
 )
 
-// StrictSPM controls the simulator's SPM admission check for every
-// experiment run (cmd/npubench's -strict-spm flag). It defaults to on:
-// a run whose live SPM bytes exceed a core's capacity fails with a
-// *sim.SPMOverflowError. Turning it off simulates knowingly over-budget
-// schedules instead of failing.
-var StrictSPM = true
-
-// simConfig is the base simulator configuration every experiment
-// derives its run config from, honoring StrictSPM.
-func simConfig() sim.Config { return sim.Config{NoSPMCheck: !StrictSPM} }
-
 // runOne compiles and simulates one (graph, arch, options) point.
 // Compilation goes through the compile-result cache, so sweeps that
 // revisit a configuration (the Base point appears in Figure 11,
@@ -45,9 +34,7 @@ func runOne(g *graph.Graph, a *arch.Arch, opt core.Options, trace bool) (*core.R
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := simConfig()
-	cfg.CollectTrace = trace
-	out, err := sim.Run(res.Program, cfg)
+	out, err := sim.Run(res.Program, sim.Config{CollectTrace: trace})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -23,17 +22,7 @@ func faultLatency(g *graph.Graph, a *arch.Arch, opt core.Options, p *fault.Plan)
 	if err != nil {
 		return 0, err
 	}
-	cfg := simConfig()
-	cfg.Faults = p
-	out, err := sim.Run(res.Program, cfg)
-	if err == nil {
-		return out.Stats.LatencyMicros(a.ClockMHz), nil
-	}
-	var cf *sim.CoreFailure
-	if !errors.As(err, &cf) {
-		return 0, err
-	}
-	rec, err := recovery.Recover(g, a, cf, recovery.Options{Opt: opt, Sim: cfg})
+	rec, err := recovery.Run(g, a, res.Program, recovery.Options{Opt: opt, Sim: sim.Config{Faults: p}})
 	if err != nil {
 		return 0, err
 	}
@@ -89,21 +78,17 @@ func DeathSweep(g *graph.Graph) ([]DeathRow, error) {
 		if err != nil {
 			return DeathRow{}, err
 		}
-		clean, err := sim.Run(res.Program, simConfig())
+		clean, err := sim.Run(res.Program, sim.Config{})
 		if err != nil {
 			return DeathRow{}, err
 		}
 		plan := &fault.Plan{Deaths: []fault.Death{{Core: 1, AtCycle: 0.5 * clean.Stats.TotalCycles}}}
-		fcfg := simConfig()
-		fcfg.Faults = plan
-		_, err = sim.Run(res.Program, fcfg)
-		var cf *sim.CoreFailure
-		if !errors.As(err, &cf) {
-			return DeathRow{}, fmt.Errorf("death sweep %s: expected core failure, got %v", opt.Name(), err)
-		}
-		rec, err := recovery.Recover(g, a, cf, recovery.Options{Opt: opt, Sim: fcfg})
+		rec, err := recovery.Run(g, a, res.Program, recovery.Options{Opt: opt, Sim: sim.Config{Faults: plan}})
 		if err != nil {
 			return DeathRow{}, fmt.Errorf("death sweep %s: %w", opt.Name(), err)
+		}
+		if len(rec.Failures) == 0 {
+			return DeathRow{}, fmt.Errorf("death sweep %s: expected core failure, run completed clean", opt.Name())
 		}
 		return DeathRow{
 			Config:           opt.Name(),

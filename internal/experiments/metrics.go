@@ -37,9 +37,7 @@ func Utilization(opt core.Options) ([]UtilizationRow, error) {
 			return UtilizationRow{}, fmt.Errorf("utilization %s: %w", m.Name, err)
 		}
 		col := &metrics.Collector{}
-		cfg := simConfig()
-		cfg.Hook = col
-		out, err := sim.Run(res.Program, cfg)
+		out, err := sim.Run(res.Program, sim.Config{Hook: col})
 		if err != nil {
 			return UtilizationRow{}, fmt.Errorf("utilization %s: %w", m.Name, err)
 		}

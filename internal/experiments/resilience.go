@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -85,7 +84,7 @@ func Resilience(seed uint64) (*ResilienceBench, error) {
 		if err != nil {
 			return HangRow{}, fmt.Errorf("resilience %s: %w", m.Name, err)
 		}
-		clean, err := sim.Run(res.Program, simConfig())
+		clean, err := sim.Run(res.Program, sim.Config{})
 		if err != nil {
 			return HangRow{}, fmt.Errorf("resilience %s clean: %w", m.Name, err)
 		}
@@ -96,22 +95,21 @@ func Resilience(seed uint64) (*ResilienceBench, error) {
 		injectAt := 0.437 * cleanCycles
 		heartbeat := frac * cleanCycles
 
-		cfg := simConfig()
-		cfg.Faults = &fault.Plan{Seed: seed, Hangs: []fault.Hang{{Core: 1, AtCycle: injectAt}}}
-		cfg.WatchdogCycles = heartbeat
-		_, eerr := sim.Run(res.Program, cfg)
-		var hd *sim.HangDetected
-		if !errors.As(eerr, &hd) {
-			return HangRow{}, fmt.Errorf("resilience %s H=%g: hang not detected: %v", m.Name, frac, eerr)
+		cfg := sim.Config{
+			Faults:         &fault.Plan{Seed: seed, Hangs: []fault.Hang{{Core: 1, AtCycle: injectAt}}},
+			WatchdogCycles: heartbeat,
 		}
-		_, rerr := sim.RunReference(res.Program, cfg)
-		var hdRef *sim.HangDetected
-		match := errors.As(rerr, &hdRef) && reflect.DeepEqual(hd, hdRef)
-
-		rec, err := recovery.RecoverFrom(g, a, eerr, recovery.Options{Opt: opt, Sim: cfg})
+		rec, err := recovery.Run(g, a, res.Program, recovery.Options{Opt: opt, Sim: cfg})
 		if err != nil {
 			return HangRow{}, fmt.Errorf("resilience %s H=%g: recovery: %w", m.Name, frac, err)
 		}
+		if len(rec.Hangs) == 0 || len(rec.Failures) > 0 {
+			return HangRow{}, fmt.Errorf("resilience %s H=%g: hang not detected", m.Name, frac)
+		}
+		_, rerr := sim.RunReference(res.Program, cfg)
+		ref, ok := sim.LossOf(rerr)
+		match := ok && reflect.DeepEqual(rec.Hangs[0], ref.Hang)
+
 		rep, err := metrics.BuildResilience("hang", injectAt, heartbeat, cleanCycles, rec)
 		if err != nil {
 			return HangRow{}, fmt.Errorf("resilience %s H=%g: %w", m.Name, frac, err)
@@ -136,12 +134,11 @@ func Resilience(seed uint64) (*ResilienceBench, error) {
 		if err != nil {
 			return FlipRow{}, fmt.Errorf("resilience %s: %w", m.Name, err)
 		}
-		clean, err := sim.Run(res.Program, simConfig())
+		clean, err := sim.Run(res.Program, sim.Config{})
 		if err != nil {
 			return FlipRow{}, fmt.Errorf("resilience %s clean: %w", m.Name, err)
 		}
-		cfg := simConfig()
-		cfg.Faults = &fault.Plan{Seed: seed, FlipRate: resilienceFlipRate}
+		cfg := sim.Config{Faults: &fault.Plan{Seed: seed, FlipRate: resilienceFlipRate}}
 		outE, err := sim.Run(res.Program, cfg)
 		if err != nil {
 			return FlipRow{}, fmt.Errorf("resilience %s flips: %w", m.Name, err)
@@ -175,7 +172,7 @@ func Resilience(seed uint64) (*ResilienceBench, error) {
 			if err != nil {
 				return FlipRow{}, fmt.Errorf("resilience %s stratum %d: %w", m.Name, c.Stratum, err)
 			}
-			subOut, err := sim.Run(subRes.Program, simConfig())
+			subOut, err := sim.Run(subRes.Program, sim.Config{})
 			if err != nil {
 				return FlipRow{}, fmt.Errorf("resilience %s stratum %d: %w", m.Name, c.Stratum, err)
 			}

@@ -32,7 +32,7 @@ func TestRecoverConcurrentIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w], errs[w] = Recover(g, a, cf, Options{Opt: opt, Sim: sim.Config{Faults: plan}})
+			results[w], errs[w] = RecoverFrom(g, a, cf, Options{Opt: opt, Sim: sim.Config{Faults: plan}})
 		}(w)
 	}
 	wg.Wait()

@@ -14,12 +14,15 @@
 package recovery
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 )
@@ -34,8 +37,6 @@ type Options struct {
 	// Opt is the compiler configuration for recompiled suffixes
 	// (typically the one the original program was built with).
 	Opt core.Options
-	// RedispatchCycles overrides DefaultRedispatchCycles when > 0.
-	RedispatchCycles float64
 	// Sim configures the resumed runs. Its fault plan keeps applying —
 	// event times are interpreted in each resumed run's local clock,
 	// and events naming already-dead cores are inert — which is how
@@ -43,14 +44,8 @@ type Options struct {
 	Sim sim.Config
 }
 
-func (o Options) redispatch() float64 {
-	if o.RedispatchCycles > 0 {
-		return o.RedispatchCycles
-	}
-	return DefaultRedispatchCycles
-}
-
-// Result describes a completed recovery.
+// Result describes a completed run: either a clean one (Run with no
+// loss; only Final and TotalCycles are set) or a recovery.
 type Result struct {
 	// Failures lists every core failure handled, in order (the initial
 	// one first, then any cascades during resumed runs).
@@ -81,11 +76,32 @@ type Result struct {
 	// attempt's wasted cycles, a re-dispatch penalty per failure, and
 	// the final run.
 	TotalCycles float64
+
+	// first is the first attempt's statistics (see FirstAttempt).
+	first *sim.Stats
+}
+
+// Degraded reports whether the run lost cores and completed on the
+// survivors.
+func (r *Result) Degraded() bool { return len(r.DeadCores) > 0 }
+
+// FirstAttempt returns the statistics of the first simulated attempt:
+// the whole run when it was clean, otherwise the partial run up to the
+// first loss. It is what a Sim.Hook passed to Run observed.
+func (r *Result) FirstAttempt() *sim.Stats {
+	if r.first == nil {
+		return &r.Final.Stats
+	}
+	return r.first
 }
 
 // ReExecutedLayers counts the original-graph layers the final suffix
-// had to recompute (compute layers only — checkpoint inputs excluded).
+// had to recompute (compute layers only — checkpoint inputs excluded);
+// zero for a clean run.
 func (r *Result) ReExecutedLayers() int {
+	if r.Suffix == nil {
+		return 0
+	}
 	n := 0
 	for _, l := range r.Suffix.Layers() {
 		if !l.IsInput() {
@@ -221,50 +237,75 @@ func StratumGraph(g *graph.Graph, layers []graph.LayerID) (*graph.Graph, map[gra
 	return sub, origin, nil
 }
 
-// Recover resumes after a core failure on a program that occupied all
-// of a's cores. It loops until the remaining network completes on the
-// surviving cores or none survive.
-func Recover(g *graph.Graph, a *arch.Arch, failure *sim.CoreFailure, opts Options) (*Result, error) {
-	return RecoverFrom(g, a, failure, opts)
+// Run simulates prog, compiled from g for all of a's cores, and when
+// the run loses cores to a survivable failure (sim.LossOf) recovers
+// the unexecuted suffix onto the survivors with RecoverFrom. opts.Sim
+// configures every attempt, except that its Hook observes only the
+// first one: a clean run whole, a failed run up to the failure.
+//
+// A clean run returns a Result with Final and TotalCycles set and no
+// losses. An error that is not survivable is returned as is. When
+// recovery itself cannot finish, Run returns the original typed
+// failure, or the recovery's cancellation error if opts.Sim.Ctx ended
+// it.
+func Run(g *graph.Graph, a *arch.Arch, prog *plan.Program, opts Options) (*Result, error) {
+	out, err := sim.Run(prog, opts.Sim)
+	if err == nil {
+		return &Result{Final: out, TotalCycles: out.Stats.TotalCycles}, nil
+	}
+	if _, ok := sim.LossOf(err); !ok {
+		return nil, err
+	}
+	ropts := opts
+	ropts.Sim.Hook = nil
+	r, rerr := RecoverFrom(g, a, err, ropts)
+	if rerr != nil {
+		if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
+			return nil, rerr
+		}
+		return nil, err
+	}
+	return r, nil
 }
 
-// RecoverFrom is Recover generalized over failure kinds: it accepts
-// either a *sim.CoreFailure (announced death, exhausted DMA retries)
-// or a *sim.HangDetected (watchdog detection of a silent stall). All
-// cores named by a hang are retired like dead ones.
+// RecoverFrom resumes after a survivable failure (see sim.LossOf) on a
+// program that occupied all of a's cores: a *sim.CoreFailure (announced
+// death, exhausted DMA retries) or a *sim.HangDetected (watchdog
+// detection of a silent stall). All cores named by a hang are retired
+// like dead ones. It loops until the remaining network completes on the
+// surviving cores or none survive, and returns the recovery's own error
+// if it cannot finish.
 func RecoverFrom(g *graph.Graph, a *arch.Arch, failure error, opts Options) (*Result, error) {
 	r := &Result{}
 	dead := make(map[int]bool)
 	completedSet := make(map[graph.LayerID]bool)
 
-	fold := func(atCycle float64, checkpointed []graph.LayerID, origin map[graph.LayerID]graph.LayerID) {
-		r.TotalCycles += atCycle + opts.redispatch()
-		for _, id := range checkpointed {
+	absorb := func(err error, origin map[graph.LayerID]graph.LayerID) bool {
+		l, ok := sim.LossOf(err)
+		if !ok {
+			return false
+		}
+		if l.Failure != nil {
+			r.Failures = append(r.Failures, l.Failure)
+		} else {
+			r.Hangs = append(r.Hangs, l.Hang)
+		}
+		if r.first == nil {
+			r.first = l.Partial
+		}
+		for _, c := range l.Cores {
+			r.DeadCores = append(r.DeadCores, c)
+			dead[c] = true
+		}
+		r.TotalCycles += l.AtCycle + DefaultRedispatchCycles
+		for _, id := range l.Completed {
 			orig := id
 			if origin != nil {
 				orig = origin[id]
 			}
 			completedSet[orig] = true
 		}
-	}
-	absorb := func(err error, origin map[graph.LayerID]graph.LayerID) bool {
-		switch f := err.(type) {
-		case *sim.CoreFailure:
-			r.Failures = append(r.Failures, f)
-			r.DeadCores = append(r.DeadCores, f.Core)
-			dead[f.Core] = true
-			fold(f.AtCycle, f.Completed, origin)
-			return true
-		case *sim.HangDetected:
-			r.Hangs = append(r.Hangs, f)
-			for _, c := range f.Cores {
-				r.DeadCores = append(r.DeadCores, c)
-				dead[c] = true
-			}
-			fold(f.AtCycle, f.Completed, origin)
-			return true
-		}
-		return false
+		return true
 	}
 	if !absorb(failure, nil) {
 		return nil, fmt.Errorf("recovery: cannot recover from %T: %w", failure, failure)
@@ -278,7 +319,7 @@ func RecoverFrom(g *graph.Graph, a *arch.Arch, failure error, opts Options) (*Re
 			}
 		}
 		if len(alive) == 0 {
-			return nil, fmt.Errorf("recovery: all %d cores dead after %d failures", a.NumCores(), len(r.Failures))
+			return nil, fmt.Errorf("recovery: all %d cores dead after %d losses", a.NumCores(), len(r.Failures)+len(r.Hangs))
 		}
 
 		// Completed layers in the original execution order: any stable
@@ -322,8 +363,12 @@ func RecoverFrom(g *graph.Graph, a *arch.Arch, failure error, opts Options) (*Re
 // MergedStats folds the wasted work of every failed attempt and the
 // final run into one per-core account, indexed by global core. Engine
 // activity overlaps within a core, so Idle is the conservative
-// remainder after summing all engines (a lower bound).
+// remainder after summing all engines (a lower bound). A clean run's
+// account is Final.Stats, unchanged.
 func (r *Result) MergedStats() sim.Stats {
+	if !r.Degraded() {
+		return r.Final.Stats
+	}
 	ncores := len(r.Final.Stats.PerCore)
 	merged := sim.Stats{
 		PerCore:       make([]sim.CoreStats, ncores),

@@ -57,7 +57,7 @@ func TestRecoverAfterEachCoreDeathMidStratum(t *testing.T) {
 		if cf.Core != victim {
 			t.Fatalf("killed core %d, failure names %d", victim, cf.Core)
 		}
-		r, err := Recover(g, a, cf, Options{Opt: opt, Sim: sim.Config{Faults: plan}})
+		r, err := RecoverFrom(g, a, cf, Options{Opt: opt, Sim: sim.Config{Faults: plan}})
 		if err != nil {
 			t.Fatalf("victim %d: recover: %v", victim, err)
 		}
@@ -91,7 +91,7 @@ func TestRecoverResumesFromCheckpoint(t *testing.T) {
 	if len(cf.Completed) == 0 {
 		t.Fatal("late Base kill left no checkpoint")
 	}
-	r, err := Recover(g, a, cf, Options{Opt: opt, Sim: sim.Config{Faults: plan}})
+	r, err := RecoverFrom(g, a, cf, Options{Opt: opt, Sim: sim.Config{Faults: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRecoverCascadingFailures(t *testing.T) {
 	if cf.Core != 0 {
 		t.Fatalf("first failure on core %d, want 0", cf.Core)
 	}
-	r, err := Recover(g, a, cf, Options{Opt: opt, Sim: sim.Config{Faults: plan}})
+	r, err := RecoverFrom(g, a, cf, Options{Opt: opt, Sim: sim.Config{Faults: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRecoverAllCoresDead(t *testing.T) {
 		{Core: 2, AtCycle: 3000},
 	}}
 	cf := failWith(t, g, a, core.Halo(), plan)
-	_, err := Recover(g, a, cf, Options{Opt: core.Halo(), Sim: sim.Config{Faults: plan}})
+	_, err := RecoverFrom(g, a, cf, Options{Opt: core.Halo(), Sim: sim.Config{Faults: plan}})
 	if err == nil || !strings.Contains(err.Error(), "all") {
 		t.Fatalf("expected all-cores-dead error, got %v", err)
 	}

@@ -579,72 +579,47 @@ func (s *Server) execute(ctx context.Context, req *RunRequest) (resp *RunRespons
 		}
 	}
 
-	hit := core.Cached(g, a, opt)
 	t0 := time.Now()
 	res, err := core.CompileCachedCtx(ctx, g, a, opt)
 	if err != nil {
 		return nil, err
 	}
 	compileMS := float64(time.Since(t0)) / float64(time.Millisecond)
-	if hit {
+	if res.CacheHit {
 		compileMS = 0
 	}
 
 	simCfg := sim.Config{Ctx: ctx, Faults: plan, WatchdogCycles: req.WatchdogCycles}
-	out, err := sim.Run(res.Program, simCfg)
-	if err != nil {
-		if !req.Recover || !recoverable(err) {
-			return nil, err
-		}
+	var rec *recovery.Result
+	if req.Recover {
 		// Degrade instead of failing: retire the lost cores, re-map the
 		// unexecuted suffix onto the survivors, and answer 200 with the
-		// merged account. The original typed failure is preserved if the
-		// survivors cannot finish either.
-		rec, rerr := recovery.RecoverFrom(g, a, err, recovery.Options{Opt: opt, Sim: simCfg})
-		if rerr != nil {
-			if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
-				return nil, rerr
-			}
-			return nil, err
-		}
-		merged := rec.MergedStats()
-		return &RunResponse{
-			Model:         g.Name,
-			Config:        opt.Name(),
-			Cores:         a.NumCores(),
-			TotalCycles:   merged.TotalCycles,
-			LatencyMicros: merged.LatencyMicros(a.ClockMHz),
-			Barriers:      merged.Barriers,
-			Instrs:        res.Program.NumInstrs(),
-			Fallback:      res.Fallback.String(),
-			CacheHit:      hit,
-			CompileMS:     compileMS,
-			Degraded:      true,
-			DeadCores:     rec.DeadCores,
-			Corruptions:   len(rec.Final.Corruptions),
-		}, nil
+		// merged account.
+		rec, err = recovery.Run(g, a, res.Program, recovery.Options{Opt: opt, Sim: simCfg})
+	} else {
+		var out *sim.Result
+		out, err = sim.Run(res.Program, simCfg)
+		rec = &recovery.Result{Final: out}
 	}
+	if err != nil {
+		return nil, err
+	}
+	st := rec.MergedStats()
 	return &RunResponse{
 		Model:         g.Name,
 		Config:        opt.Name(),
 		Cores:         a.NumCores(),
-		TotalCycles:   out.Stats.TotalCycles,
-		LatencyMicros: out.Stats.LatencyMicros(a.ClockMHz),
-		Barriers:      out.Stats.Barriers,
+		TotalCycles:   st.TotalCycles,
+		LatencyMicros: st.LatencyMicros(a.ClockMHz),
+		Barriers:      st.Barriers,
 		Instrs:        res.Program.NumInstrs(),
 		Fallback:      res.Fallback.String(),
-		CacheHit:      hit,
+		CacheHit:      res.CacheHit,
 		CompileMS:     compileMS,
-		Corruptions:   len(out.Corruptions),
+		Degraded:      rec.Degraded(),
+		DeadCores:     rec.DeadCores,
+		Corruptions:   len(rec.Final.Corruptions),
 	}, nil
-}
-
-// recoverable reports whether an execution error is a lost-cores
-// failure the in-request recovery path can degrade through.
-func recoverable(err error) bool {
-	var cf *sim.CoreFailure
-	var hd *sim.HangDetected
-	return errors.As(err, &cf) || errors.As(err, &hd)
 }
 
 // decodeTenantsRequest parses and validates the POST /tenants body.

@@ -145,8 +145,7 @@ type machine struct {
 
 	// SPM admission check (spmcheck.go): bytes each live buffer owner
 	// still holds (0 = none or freed), outstanding reader counts, and
-	// per-core live totals. spmOn mirrors !Config.NoSPMCheck.
-	spmOn      bool
+	// per-core live totals.
 	spmBuf     []int64
 	spmReaders []int32
 	spmLive    []int64
@@ -335,22 +334,19 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 
 	// SPM admission state: owner bytes per node, and reader counts per
 	// owner from the dependent CSR filtered to genuine data reads.
-	m.spmOn = !cfg.NoSPMCheck
-	if m.spmOn {
-		m.spmBuf = resizeInt64(m.spmBuf, total)
-		m.spmReaders = resizeInt32(m.spmReaders, total)
-		m.spmLive = resizeInt64(m.spmLive, ncores)
-		for n := 0; n < total; n++ {
-			m.spmBuf[n] = spmOwnedBytes(&m.nodes[n].in)
+	m.spmBuf = resizeInt64(m.spmBuf, total)
+	m.spmReaders = resizeInt32(m.spmReaders, total)
+	m.spmLive = resizeInt64(m.spmLive, ncores)
+	for n := 0; n < total; n++ {
+		m.spmBuf[n] = spmOwnedBytes(&m.nodes[n].in)
+	}
+	for d := 0; d < total; d++ {
+		if m.spmBuf[d] <= 0 {
+			continue
 		}
-		for d := 0; d < total; d++ {
-			if m.spmBuf[d] <= 0 {
-				continue
-			}
-			for _, n := range m.depEdges[m.depOff[d]:m.depOff[d+1]] {
-				if spmReads(m.nodes[d].in.Op, m.nodes[n].in.Op) {
-					m.spmReaders[d]++
-				}
+		for _, n := range m.depEdges[m.depOff[d]:m.depOff[d+1]] {
+			if spmReads(m.nodes[d].in.Op, m.nodes[n].in.Op) {
+				m.spmReaders[d]++
 			}
 		}
 	}
@@ -540,10 +536,8 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 
 		m.issueReady()
 
-		if m.spmOn {
-			if err := m.checkSPM(); err != nil {
-				return nil, err
-			}
+		if err := m.checkSPM(); err != nil {
+			return nil, err
 		}
 
 		// Watchdog beat: after issue (so "idle engine with an issuable
@@ -702,10 +696,8 @@ func (m *machine) issueReady() {
 		n.started = true
 		n.start = m.now
 		c := int(ei) / numEngines
-		if m.spmOn {
-			if b := m.spmBuf[nid]; b > 0 {
-				m.spmLive[c] += b
-			}
+		if b := m.spmBuf[nid]; b > 0 {
+			m.spmLive[c] += b
 		}
 		pi := int(m.progOf[nid])
 		switch n.in.Op.Engine() {
@@ -908,23 +900,21 @@ func (m *machine) finishNode(nid int, t float64) {
 			Start: n.start, End: t, Bytes: n.in.Bytes, MACs: n.in.MACs, Retries: n.attempt,
 		})
 	}
-	if m.spmOn {
-		// The node's own buffer dies now if no reader is outstanding;
-		// its deps' buffers die if this was their last reader and the
-		// owner already finished.
-		if m.spmBuf[nid] > 0 && m.spmReaders[nid] == 0 {
-			m.spmLive[c] -= m.spmBuf[nid]
-			m.spmBuf[nid] = 0
-		}
-		pi := m.progOf[nid]
-		for _, d := range n.in.Deps {
-			dn := int(m.baseFlat[m.streamStart[pi]+int32(d.Core)]) + d.Index
-			if m.spmBuf[dn] > 0 && spmReads(m.nodes[dn].in.Op, n.in.Op) {
-				m.spmReaders[dn]--
-				if m.spmReaders[dn] == 0 && m.nodes[dn].done {
-					m.spmLive[m.coreOf[dn]] -= m.spmBuf[dn]
-					m.spmBuf[dn] = 0
-				}
+	// The node's own buffer dies now if no reader is outstanding;
+	// its deps' buffers die if this was their last reader and the
+	// owner already finished.
+	if m.spmBuf[nid] > 0 && m.spmReaders[nid] == 0 {
+		m.spmLive[c] -= m.spmBuf[nid]
+		m.spmBuf[nid] = 0
+	}
+	pi := m.progOf[nid]
+	for _, d := range n.in.Deps {
+		dn := int(m.baseFlat[m.streamStart[pi]+int32(d.Core)]) + d.Index
+		if m.spmBuf[dn] > 0 && spmReads(m.nodes[dn].in.Op, n.in.Op) {
+			m.spmReaders[dn]--
+			if m.spmReaders[dn] == 0 && m.nodes[dn].done {
+				m.spmLive[m.coreOf[dn]] -= m.spmBuf[dn]
+				m.spmBuf[dn] = 0
 			}
 		}
 	}

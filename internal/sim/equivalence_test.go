@@ -204,7 +204,8 @@ func TestEngineMatchesReferenceSynthetic(t *testing.T) {
 // TestEngineGoldenCycles pins the reference engine's cycle counts in a
 // golden file and requires the event engine to reproduce them, so a
 // semantic change that shifts both engines in lockstep still surfaces.
-// Regenerate with: go test ./internal/sim -run Golden -update
+// Regenerate with: go generate ./internal/sim (which runs this test
+// with -update). It refuses to write while the two engines diverge.
 func TestEngineGoldenCycles(t *testing.T) {
 	got := map[string]float64{}
 	for _, cm := range allCompiledModels(t) {
@@ -240,6 +241,9 @@ func TestEngineGoldenCycles(t *testing.T) {
 
 	path := filepath.Join("testdata", "golden_cycles.json")
 	if *updateGolden {
+		if t.Failed() {
+			t.Fatal("engines diverge; refusing to write the golden file")
+		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -69,7 +70,7 @@ func (f *CoreFailure) Error() string {
 // itself: the simulated time is the heartbeat at which the stall was
 // observed, not the cycle the hang was injected. It carries the same
 // recovery payload as CoreFailure — checkpoint and partial stats — so
-// recovery.Recover can re-map the suffix onto the survivors.
+// recovery can re-map the suffix onto the survivors.
 type HangDetected struct {
 	// Cores lists every core the watchdog found stalled at this
 	// heartbeat, ascending. (A single SoC-level event — e.g. a power
@@ -91,6 +92,44 @@ type HangDetected struct {
 func (h *HangDetected) Error() string {
 	return fmt.Sprintf("sim: watchdog: core %d hung (no progress) detected at cycle %.0f with %d layers checkpointed",
 		h.Cores[0], h.AtCycle, len(h.Completed))
+}
+
+// Loss is the recovery payload a survivable failure carries: the
+// fields *CoreFailure and *HangDetected share. Exactly one of Failure
+// and Hang is set, and the other fields are copied from it.
+type Loss struct {
+	Failure *CoreFailure
+	Hang    *HangDetected
+	// Cores are the global cores lost: the dead core, or every core
+	// the watchdog found stalled.
+	Cores []int
+	// Placement indexes the failed placement (-1 if unassigned).
+	Placement int
+	// AtCycle is the failure (or detection) time in the run's clock.
+	AtCycle float64
+	// Completed is the checkpoint to resume from.
+	Completed []graph.LayerID
+	// Partial points at the statistics accumulated up to AtCycle.
+	Partial *Stats
+}
+
+// LossOf is the one place that decides whether a run's error is
+// survivable: it reports whether err is (or wraps) a *CoreFailure or a
+// *HangDetected, and returns the lost cores and the checkpoint. Every
+// other error — deadlock, SPM overflow, cancellation, a bad fault
+// spec — is fatal to the run and yields ok == false.
+func LossOf(err error) (l Loss, ok bool) {
+	var cf *CoreFailure
+	if errors.As(err, &cf) {
+		return Loss{Failure: cf, Cores: []int{cf.Core}, Placement: cf.Placement,
+			AtCycle: cf.AtCycle, Completed: cf.Completed, Partial: &cf.Partial}, true
+	}
+	var hd *HangDetected
+	if errors.As(err, &hd) {
+		return Loss{Hang: hd, Cores: hd.Cores, Placement: hd.Placement,
+			AtCycle: hd.AtCycle, Completed: hd.Completed, Partial: &hd.Partial}, true
+	}
+	return Loss{}, false
 }
 
 // Corruption records one silently corrupted stratum: some DMA

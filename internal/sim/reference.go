@@ -233,25 +233,19 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 	// SPM admission state, mirroring the event engine (spmcheck.go):
 	// owner bytes per node, reader counts filtered to genuine data
 	// reads, and per-core live totals.
-	spmOn := !cfg.NoSPMCheck
-	var spmBuf []int64
-	var spmReaders []int32
-	var spmLive []int64
-	if spmOn {
-		spmBuf = make([]int64, total)
-		spmReaders = make([]int32, total)
-		spmLive = make([]int64, ncores)
-		for n := range nodes {
-			spmBuf[n] = spmOwnedBytes(&nodes[n].in)
+	spmBuf := make([]int64, total)
+	spmReaders := make([]int32, total)
+	spmLive := make([]int64, ncores)
+	for n := range nodes {
+		spmBuf[n] = spmOwnedBytes(&nodes[n].in)
+	}
+	for d := range nodes {
+		if spmBuf[d] <= 0 {
+			continue
 		}
-		for d := range nodes {
-			if spmBuf[d] <= 0 {
-				continue
-			}
-			for _, n := range dependents[d] {
-				if spmReads(nodes[d].in.Op, nodes[n].in.Op) {
-					spmReaders[d]++
-				}
+		for _, n := range dependents[d] {
+			if spmReads(nodes[d].in.Op, nodes[n].in.Op) {
+				spmReaders[d]++
 			}
 		}
 	}
@@ -336,22 +330,20 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 				Start: n.start, End: t, Retries: n.attempt, Note: n.in.Note,
 			})
 		}
-		if spmOn {
-			// The node's own buffer dies now if no reader is outstanding;
-			// its deps' buffers die if this was their last reader and the
-			// owner already finished.
-			if spmBuf[nid] > 0 && spmReaders[nid] == 0 {
-				spmLive[c] -= spmBuf[nid]
-				spmBuf[nid] = 0
-			}
-			for _, d := range n.in.Deps {
-				dn := base[streamKey{progOf[nid], d.Core}] + d.Index
-				if spmBuf[dn] > 0 && spmReads(nodes[dn].in.Op, n.in.Op) {
-					spmReaders[dn]--
-					if spmReaders[dn] == 0 && nodes[dn].done {
-						spmLive[coreOf[dn]] -= spmBuf[dn]
-						spmBuf[dn] = 0
-					}
+		// The node's own buffer dies now if no reader is outstanding;
+		// its deps' buffers die if this was their last reader and the
+		// owner already finished.
+		if spmBuf[nid] > 0 && spmReaders[nid] == 0 {
+			spmLive[c] -= spmBuf[nid]
+			spmBuf[nid] = 0
+		}
+		for _, d := range n.in.Deps {
+			dn := base[streamKey{progOf[nid], d.Core}] + d.Index
+			if spmBuf[dn] > 0 && spmReads(nodes[dn].in.Op, n.in.Op) {
+				spmReaders[dn]--
+				if spmReaders[dn] == 0 && nodes[dn].done {
+					spmLive[coreOf[dn]] -= spmBuf[dn]
+					spmBuf[dn] = 0
 				}
 			}
 		}
@@ -387,10 +379,8 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 					es.pos++
 					n.started = true
 					n.start = now
-					if spmOn {
-						if b := spmBuf[nid]; b > 0 {
-							spmLive[c] += b
-						}
+					if b := spmBuf[nid]; b > 0 {
+						spmLive[c] += b
 					}
 					pi := progOf[nid]
 					switch n.in.Op.Engine() {
@@ -611,26 +601,24 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 
 		issueAll()
 
-		if spmOn {
-			for c := 0; c < ncores; c++ {
-				if spmLive[c] <= a.Cores[c].SPMBytes {
+		for c := 0; c < ncores; c++ {
+			if spmLive[c] <= a.Cores[c].SPMBytes {
+				continue
+			}
+			serr := &SPMOverflowError{
+				Core: c, Cycle: now,
+				LiveBytes: spmLive[c], CapacityBytes: a.Cores[c].SPMBytes,
+			}
+			for n := 0; n < total; n++ {
+				if coreOf[n] != c || spmBuf[n] <= 0 || !nodes[n].started {
 					continue
 				}
-				serr := &SPMOverflowError{
-					Core: c, Cycle: now,
-					LiveBytes: spmLive[c], CapacityBytes: a.Cores[c].SPMBytes,
-				}
-				for n := 0; n < total; n++ {
-					if coreOf[n] != c || spmBuf[n] <= 0 || !nodes[n].started {
-						continue
-					}
-					serr.Buffers = append(serr.Buffers, SPMBuffer{
-						Core: c, Index: indexOf[n],
-						Op: nodes[n].in.Op, Bytes: spmBuf[n], Note: nodes[n].in.Note,
-					})
-				}
-				return nil, serr
+				serr.Buffers = append(serr.Buffers, SPMBuffer{
+					Core: c, Index: indexOf[n],
+					Op: nodes[n].in.Op, Bytes: spmBuf[n], Note: nodes[n].in.Note,
+				})
 			}
+			return nil, serr
 		}
 
 		// Watchdog beat: after issue (so an idle engine with an

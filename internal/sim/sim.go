@@ -20,9 +20,11 @@
 // benchmarks, which hold the two bit-identical.
 //
 // The golden files pinning the engines (testdata/golden_cycles.json
-// here, chrome_tinycnn.json under internal/trace) regenerate with:
+// here, chrome_tinycnn.json under internal/trace) regenerate with
+// go generate ./internal/sim:
 //
-//go:generate go run ../../cmd/npubench -regen-golden
+//go:generate go test -run TestEngineGoldenCycles -update
+//go:generate go test ../trace -run TestChromeGolden -update
 package sim
 
 import (
@@ -161,11 +163,6 @@ type Config struct {
 	// the event engine feeds hooks; the reference engine ignores this
 	// field.
 	Hook Hook
-	// NoSPMCheck disables the SPM admission check (spmcheck.go). By
-	// default both engines track live SPM bytes per core and fail the
-	// run with a *SPMOverflowError when a core's footprint exceeds its
-	// capacity; set this to simulate a knowingly over-budget schedule.
-	NoSPMCheck bool
 	// WatchdogCycles enables the hang watchdog: per-core progress is
 	// checked every WatchdogCycles simulated cycles, and a core that
 	// owes instructions but shows no forward progress fails the run

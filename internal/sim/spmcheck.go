@@ -42,7 +42,7 @@ type SPMBuffer struct {
 
 // SPMOverflowError reports that a core's live SPM footprint exceeded
 // its capacity during simulation. It is returned by Run/RunConcurrent
-// (and the reference engine) unless Config.NoSPMCheck is set.
+// (and the reference engine); the check always runs.
 type SPMOverflowError struct {
 	// Core is the global core whose SPM overflowed (the lowest-indexed
 	// one when several overflow at the same instant).

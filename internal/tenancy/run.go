@@ -1,7 +1,6 @@
 package tenancy
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -76,7 +75,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 	cfg.CollectTrace = true // preemption cuts need the round trace
 	// Isolated baselines are fault-free by construction: interference
 	// must measure bus contention, not injected faults.
-	icfg := sim.Config{Ctx: opts.Sim.Ctx, NoSPMCheck: opts.Sim.NoSPMCheck}
+	icfg := sim.Config{Ctx: opts.Sim.Ctx}
 
 	// Degradation state: cores retired mid-horizon by a detected hang
 	// or an announced failure never host tenants again; the serving loop
@@ -192,7 +191,8 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 		}
 		out, err := cosim(admitted)
 		if err != nil {
-			return failCycle(err), err
+			l, _ := sim.LossOf(err) // a fatal error cuts at cycle 0
+			return l.AtCycle, err
 		}
 		L1 := out.Stats.ProgramCycles
 		R1 := maxOf(L1)
@@ -222,7 +222,8 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 		outS, LS := out, L1
 		if hadSuffix {
 			if outS, err = cosim(admitted); err != nil {
-				return spent + failCycle(err), err
+				l, _ := sim.LossOf(err)
+				return spent + l.AtCycle, err
 			}
 			LS = outS.Stats.ProgramCycles
 		}
@@ -310,7 +311,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 				if err == nil {
 					break
 				}
-				cores, atCycle, comp, pi, ok := failureInfo(err)
+				loss, ok := sim.LossOf(err)
 				if !ok {
 					return nil, err
 				}
@@ -320,16 +321,16 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 				// in-flight round (charged to carried, restarting from its
 				// last own checkpoint) — the co-run died without a trace to
 				// cut from.
-				for _, c := range cores {
+				for _, c := range loss.Cores {
 					dead[c] = true
 				}
 				failureLog = append(failureLog, err.Error())
-				if pi >= 0 && pi < len(admitted) {
+				if pi := loss.Placement; pi >= 0 && pi < len(admitted) {
 					ts := admitted[pi]
 					if ts.completed == nil {
-						ts.completed = make(map[graph.LayerID]bool, len(comp))
+						ts.completed = make(map[graph.LayerID]bool, len(loss.Completed))
 					}
-					for _, id := range comp {
+					for _, id := range loss.Completed {
 						orig := id
 						if ts.isSuffix {
 							orig = ts.origin[id]
@@ -338,7 +339,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 					}
 				}
 				for _, ts := range admitted {
-					ts.carried += atCycle
+					ts.carried += loss.AtCycle
 				}
 				remaining -= spent
 				if alive() == 0 {
@@ -363,30 +364,6 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 		}
 	}
 	return buildReport(a, opt.Name(), opts.horizonUS(), epochs, coSims, states, deadList(dead), failureLog), nil
-}
-
-// failureInfo unwraps a co-run error into its degradation facts: the
-// cores lost, the cut cycle (the failing run's local clock), the failed
-// placement's checkpoint, and that placement's index. ok is false for
-// errors that are not survivable core losses.
-func failureInfo(err error) (cores []int, atCycle float64, comp []graph.LayerID, placement int, ok bool) {
-	var cf *sim.CoreFailure
-	if errors.As(err, &cf) {
-		return []int{cf.Core}, cf.AtCycle, cf.Completed, cf.Placement, true
-	}
-	var hd *sim.HangDetected
-	if errors.As(err, &hd) {
-		return hd.Cores, hd.AtCycle, hd.Completed, hd.Placement, true
-	}
-	return nil, 0, nil, -1, false
-}
-
-// failCycle is the cut cycle of a survivable failure, 0 otherwise.
-func failCycle(err error) float64 {
-	if _, at, _, _, ok := failureInfo(err); ok {
-		return at
-	}
-	return 0
 }
 
 func deadList(dead map[int]bool) []int {

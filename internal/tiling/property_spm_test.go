@@ -199,11 +199,6 @@ func TestOverBudgetScheduleDeterministicOnBothEngines(t *testing.T) {
 				t.Errorf("capacity %d: engines disagree: %v vs %v", capacity, got, ev1)
 			}
 		}
-		// NoSPMCheck tolerates the same schedule (the npusim/npubench
-		// -strict-spm=false escape hatch).
-		if _, err := sim.Run(res.Program, sim.Config{NoSPMCheck: true}); err != nil {
-			t.Errorf("capacity %d: NoSPMCheck run failed: %v", capacity, err)
-		}
 	}
 	// Restore the shared arch fields for any test that might reuse it.
 	for i := range res.Program.Arch.Cores {

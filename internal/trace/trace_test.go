@@ -173,8 +173,9 @@ func TestChromeNameFallback(t *testing.T) {
 // the halo configuration: event order (including timestamp ties), the
 // microsecond conversion, and the note-derived names that keep halo
 // exchanges and barriers distinguishable from plain loads and stores.
-// Regenerate with `go test ./internal/trace -run Golden -update` after
-// an intentional simulator or exporter change.
+// Regenerate with `go generate ./internal/sim` (or `go test
+// ./internal/trace -run TestChromeGolden -update`) after an intentional
+// simulator or exporter change.
 func TestChromeGolden(t *testing.T) {
 	events, a := traceOf(t)
 	var buf bytes.Buffer

@@ -1,9 +1,6 @@
 package npu
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/fault"
 	"repro/internal/recovery"
 	"repro/internal/sim"
@@ -94,35 +91,31 @@ func RunWithFaults(g *Graph, a *Arch, opt Options, plan *FaultPlan) (*FaultRepor
 // HangDetected that recovery handles exactly like a core death (the
 // hung cores are retired, the suffix re-runs on the survivors).
 // watchdogCycles <= 0 disables the watchdog.
+//
+// When the survivors cannot finish either (every core lost), the error
+// is the original typed *CoreFailure or *HangDetected.
 func RunWithFaultsWatched(g *Graph, a *Arch, opt Options, plan *FaultPlan, watchdogCycles float64) (*FaultReport, error) {
 	res, err := Compile(g, a, opt)
 	if err != nil {
 		return nil, err
 	}
-	simCfg := sim.Config{Faults: plan, WatchdogCycles: watchdogCycles}
-	out, err := sim.Run(res.Program, simCfg)
-	if err == nil {
-		return &FaultReport{
-			Report:      Report{Stats: out.Stats, Arch: a, Config: opt.Name()},
-			Corruptions: out.Corruptions,
-		}, nil
-	}
-	var cf *CoreFailure
-	var hd *HangDetected
-	if !errors.As(err, &cf) && !errors.As(err, &hd) {
+	rec, err := recovery.Run(g, a, res.Program, recovery.Options{
+		Opt: opt,
+		Sim: sim.Config{Faults: plan, WatchdogCycles: watchdogCycles},
+	})
+	if err != nil {
 		return nil, err
 	}
-	rec, err := recovery.RecoverFrom(g, a, err, recovery.Options{Opt: opt, Sim: simCfg})
-	if err != nil {
-		return nil, fmt.Errorf("npu: run failed and could not recover: %w", err)
-	}
-	return &FaultReport{
+	fr := &FaultReport{
 		Report:      Report{Stats: rec.MergedStats(), Arch: a, Config: opt.Name()},
 		Failures:    rec.Failures,
 		Hangs:       rec.Hangs,
 		Corruptions: rec.Final.Corruptions,
-		Recovery:    rec,
-	}, nil
+	}
+	if rec.Degraded() {
+		fr.Recovery = rec
+	}
+	return fr, nil
 }
 
 // ValidateRecovery proves a recovered run reproduced the whole-graph

@@ -1,6 +1,7 @@
 package npu_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/npu"
@@ -70,6 +71,34 @@ func TestRunWithFaultsSurvivesCoreDeath(t *testing.T) {
 	}
 	if err := npu.ValidateRecovery(g, rep.Recovery); err != nil {
 		t.Errorf("recovery changed numerics: %v", err)
+	}
+}
+
+// TestRunWithFaultsUnrecoverableIsTyped: when the survivors cannot
+// finish either, the caller gets the original typed failure, not the
+// recovery's error, so errors.As and the CLI exit codes still apply.
+func TestRunWithFaultsUnrecoverableIsTyped(t *testing.T) {
+	g := npu.BuildModel("TinyCNN")
+	a := npu.Exynos2100Like()
+
+	kills, err := npu.ParseFaultSpec("kill=0@5000,kill=1@6000,kill=2@7000", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = npu.RunWithFaults(g, a, npu.Stratum(), kills)
+	var cf *npu.CoreFailure
+	if !errors.As(err, &cf) || cf.Core != 0 || cf.AtCycle != 5000 {
+		t.Errorf("all cores killed: got %v, want the first *CoreFailure (core 0 at 5000)", err)
+	}
+
+	hangs, err := npu.ParseFaultSpec("hang=0@8000,hang=1@8000,hang=2@8000", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = npu.RunWithFaultsWatched(g, a, npu.Stratum(), hangs, 2000)
+	var hd *npu.HangDetected
+	if !errors.As(err, &hd) || len(hd.Cores) != 3 {
+		t.Errorf("all cores hung: got %v, want a *HangDetected naming all three cores", err)
 	}
 }
 
