@@ -159,7 +159,7 @@ func main() {
 
 	needTrace := *traceOut != "" || *gantt > 0 || *mem
 	col := mo.collector()
-	out, err := sim.Run(res.Program, sim.Config{CollectTrace: needTrace, Hook: col.hook()})
+	out, err := res.Simulate(sim.Config{CollectTrace: needTrace, Hook: col.hook()})
 	if err != nil {
 		fatal(err)
 	}

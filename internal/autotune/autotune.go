@@ -95,7 +95,7 @@ func AutoBalanceCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, opt core.
 		if runCfg.Ctx == nil {
 			runCfg.Ctx = ctx
 		}
-		out, err := sim.Run(res.Program, runCfg)
+		out, err := res.Simulate(runCfg)
 		if err != nil {
 			return eval{}, err
 		}

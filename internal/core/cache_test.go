@@ -2,10 +2,17 @@ package core
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/graph"
 	"repro/internal/models"
+	"repro/internal/ops"
+	"repro/internal/partition"
+	"repro/internal/stratum"
+	"repro/internal/tensor"
 )
 
 func TestFingerprintSensitivity(t *testing.T) {
@@ -109,5 +116,217 @@ func TestCompileCachedDistinguishesPoints(t *testing.T) {
 	}
 	if hits, misses := CacheStats(); hits != 0 || misses != 3 {
 		t.Errorf("stats = %d hits / %d misses, want 0/3", hits, misses)
+	}
+}
+
+// leafPaths lists the index path of every scalar reachable from v,
+// descending into struct fields and into slice elements.
+func leafPaths(v reflect.Value, prefix []int) [][]int {
+	switch v.Kind() {
+	case reflect.Struct:
+		var out [][]int
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, leafPaths(v.Field(i), append(append([]int(nil), prefix...), i))...)
+		}
+		return out
+	case reflect.Slice:
+		var out [][]int
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, leafPaths(v.Index(i), append(append([]int(nil), prefix...), i))...)
+		}
+		return out
+	default:
+		return [][]int{prefix}
+	}
+}
+
+// bump changes the scalar at path inside the addressable value v and
+// returns the path's field names for messages.
+func bump(t *testing.T, v reflect.Value, path []int) string {
+	t.Helper()
+	name := v.Type().Name()
+	for _, i := range path {
+		if v.Kind() == reflect.Slice {
+			v = v.Index(i)
+			name += "[" + strconv.Itoa(i) + "]"
+		} else {
+			name += "." + v.Type().Field(i).Name
+			v = v.Field(i)
+		}
+	}
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	default:
+		t.Fatalf("%s: no perturbation for kind %v", name, v.Kind())
+	}
+	return name
+}
+
+// checkEveryField perturbs each scalar field of fresh() in turn and
+// requires key to change. fresh must return an independent value with
+// every slice non-empty, so slice elements are walked too.
+func checkEveryField[T any](t *testing.T, fresh func() T, key func(T) uint64) {
+	t.Helper()
+	base := fresh()
+	want := key(base)
+	paths := leafPaths(reflect.ValueOf(base), nil)
+	if len(paths) == 0 {
+		t.Fatalf("%T has no fields to perturb", base)
+	}
+	for _, path := range paths {
+		x := fresh()
+		name := bump(t, reflect.ValueOf(&x).Elem(), path)
+		if key(x) == want {
+			t.Errorf("perturbing %s leaves the key unchanged", name)
+		}
+	}
+}
+
+func TestFingerprintCoversOptions(t *testing.T) {
+	fresh := func() Options {
+		o := Stratum()
+		o.WeightScale = []float64{1, 0.9}
+		o.ForceMethods = []partition.MethodID{partition.MethodAuto, partition.MethodAuto}
+		o.StratumBoundary = []stratum.Boundary{stratum.BoundaryAuto, stratum.BoundaryAuto}
+		return o
+	}
+	checkEveryField(t, fresh, optKey)
+	// Slices are length-prefixed: dropping an element changes the key.
+	o := fresh()
+	o.ForceMethods = o.ForceMethods[:1]
+	if optKey(o) == optKey(fresh()) {
+		t.Error("ForceMethods length ignored by the option key")
+	}
+}
+
+func TestFingerprintCoversArch(t *testing.T) {
+	fresh := func() arch.Arch { return *arch.Exynos2100Like() }
+	checkEveryField(t, fresh, func(a arch.Arch) uint64 { return archKey(&a) })
+	a := fresh()
+	a.Cores = a.Cores[:2]
+	if archKey(&a) == archKey(arch.Exynos2100Like()) {
+		t.Error("core count ignored by the arch key")
+	}
+}
+
+// opSamples has one operator per kind, with distinct attributes.
+func opSamples() []ops.Op {
+	pad := ops.Padding{Top: 1, Bottom: 2, Left: 3, Right: 4}
+	return []ops.Op{
+		ops.Input{Shape: tensor.NewShape(8, 8, 3)},
+		ops.Conv2D{KH: 3, KW: 3, StrideH: 1, StrideW: 2, DilH: 1, DilW: 2, Pad: pad, OutC: 16, Groups: 2},
+		ops.DepthwiseConv2D{KH: 3, KW: 5, StrideH: 1, StrideW: 2, DilH: 1, DilW: 2, Pad: pad},
+		ops.TransposeConv2D{KH: 2, KW: 3, StrideH: 2, StrideW: 1, Pad: pad, OutC: 8},
+		ops.MaxPool2D{KH: 2, KW: 3, StrideH: 2, StrideW: 1, Pad: pad},
+		ops.AvgPool2D{KH: 2, KW: 3, StrideH: 2, StrideW: 1, Pad: pad},
+		ops.GlobalAvgPool{},
+		ops.FullyConnected{OutC: 10},
+		ops.Add{Arity: 2},
+		ops.Mul{},
+		ops.Concat{Arity: 2},
+		ops.Activation{Func: ops.ReLU6},
+		ops.Softmax{},
+		ops.Resize{ScaleH: 2, ScaleW: 3, Mode: ops.Bilinear},
+		ops.Crop{Top: 1, Bottom: 2, Left: 3, Right: 4},
+		ops.ChannelSlice{From: 1, To: 5},
+		ops.ChannelShuffle{Groups: 2},
+	}
+}
+
+func opKey(o ops.Op) uint64 {
+	return uint64(newKeyHash().op(o))
+}
+
+func TestFingerprintCoversOps(t *testing.T) {
+	samples := opSamples()
+	kinds := map[ops.Kind]bool{}
+	for _, o := range samples {
+		kinds[o.Kind()] = true
+	}
+	// Every declared kind has a sample, so a new operator cannot join
+	// the graph language without joining this test.
+	for k := ops.Kind(0); !strings.HasPrefix(k.String(), "Kind("); k++ {
+		if !kinds[k] {
+			t.Errorf("no sample for operator kind %v", k)
+		}
+	}
+	for _, o := range samples {
+		if allocs := testing.AllocsPerRun(10, func() { opKey(o) }); allocs != 0 {
+			t.Errorf("%v: op key allocates %v times; is its kind missing from keyHash.op?", o.Kind(), allocs)
+		}
+		for _, path := range leafPaths(reflect.ValueOf(o), nil) {
+			v := reflect.New(reflect.TypeOf(o)).Elem()
+			v.Set(reflect.ValueOf(o))
+			name := bump(t, v, path)
+			if opKey(v.Interface().(ops.Op)) == opKey(o) {
+				t.Errorf("perturbing %s leaves the key unchanged", name)
+			}
+		}
+	}
+	// The kind is part of the key: operators with equal attributes but
+	// different kinds differ.
+	same := [][2]ops.Op{
+		{ops.MaxPool2D{KH: 2, KW: 2, StrideH: 2, StrideW: 2}, ops.AvgPool2D{KH: 2, KW: 2, StrideH: 2, StrideW: 2}},
+		{ops.Add{Arity: 2}, ops.Concat{Arity: 2}},
+		{ops.GlobalAvgPool{}, ops.Mul{}},
+		{ops.Mul{}, ops.Softmax{}},
+	}
+	for _, p := range same {
+		if opKey(p[0]) == opKey(p[1]) {
+			t.Errorf("%v and %v with equal attributes share a key", p[0].Kind(), p[1].Kind())
+		}
+	}
+}
+
+func TestFingerprintCoversGraph(t *testing.T) {
+	base := graphKey(models.TinyCNN())
+	mutations := map[string]func(g *graph.Graph){
+		"graph name":   func(g *graph.Graph) { g.Name += "x" },
+		"graph dtype":  func(g *graph.Graph) { g.DType = tensor.Int16 },
+		"layer name":   func(g *graph.Graph) { g.Layers()[2].Name += "x" },
+		"layer op":     func(g *graph.Graph) { g.Layers()[1].Op = ops.Activation{Func: ops.ReLU} },
+		"layer inputs": func(g *graph.Graph) { g.Layers()[2].Inputs = []graph.LayerID{0} },
+		"layer shape":  func(g *graph.Graph) { g.Layers()[2].OutShape.C++ },
+		"layer dtype":  func(g *graph.Graph) { g.Layers()[2].DType = tensor.Int16 },
+	}
+	for name, mutate := range mutations {
+		g := models.TinyCNN()
+		mutate(g)
+		if graphKey(g) == base {
+			t.Errorf("%s ignored by the graph key", name)
+		}
+	}
+}
+
+// TestFingerprintNoAllocs pins the key to zero allocations.
+func TestFingerprintNoAllocs(t *testing.T) {
+	g := models.InceptionV3()
+	a := arch.Exynos2100Like()
+	opt := Stratum()
+	opt.WeightScale = []float64{1, 0.9, 1.1}
+	if allocs := testing.AllocsPerRun(20, func() { Fingerprint(g, a, opt) }); allocs != 0 {
+		t.Errorf("Fingerprint allocates %v times per call, want 0", allocs)
+	}
+}
+
+var sinkKey CacheKey
+
+func BenchmarkFingerprint(b *testing.B) {
+	a := arch.Exynos2100Like()
+	for _, m := range models.All() {
+		g := m.Build()
+		b.Run(m.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkKey = Fingerprint(g, a, Stratum())
+			}
+		})
 	}
 }

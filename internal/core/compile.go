@@ -176,10 +176,30 @@ func capacityFailure(err error) bool {
 // with the SPM admission check on; the simulator's live-byte tracking
 // is the authority on whether the schedule actually fits. The context
 // threads into the engine's cooperative checkpoints, so a canceled
-// compile aborts even mid-admission.
+// compile aborts even mid-admission. A live context never perturbs the
+// run, so the admitted run is the program's clean simulation, and the
+// Result keeps it for Simulate.
 func admit(ctx context.Context, res *Result) error {
-	_, err := sim.Run(res.Program, sim.Config{Ctx: ctx})
+	out, err := sim.Run(res.Program, sim.Config{Ctx: ctx})
+	res.clean = out
 	return err
+}
+
+// Simulate runs the compiled program under cfg. A run with no active
+// fault plan, no CollectTrace and no Hook cannot differ from the
+// admission run, so Simulate returns a private copy of that run
+// instead of simulating again; any other cfg, a Result without an
+// admission run, and a cfg.Ctx that is already done go to sim.Run, so
+// a canceled context yields sim.Run's own cancellation error.
+func (r *Result) Simulate(cfg sim.Config) (*sim.Result, error) {
+	if r.clean == nil || !cfg.Faults.Empty() || cfg.CollectTrace || cfg.Hook != nil ||
+		(cfg.Ctx != nil && cfg.Ctx.Err() != nil) {
+		return sim.Run(r.Program, cfg)
+	}
+	st := r.clean.Stats
+	st.PerCore = append([]sim.CoreStats(nil), st.PerCore...)
+	st.ProgramCycles = append([]float64(nil), st.ProgramCycles...)
+	return &sim.Result{Stats: st}, nil
 }
 
 // compileOnce runs the four compile stages for one fallback attempt,

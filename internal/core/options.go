@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/plan"
+	"repro/internal/sim"
 	"repro/internal/stratum"
 )
 
@@ -243,4 +244,8 @@ type Result struct {
 	// without compiling. It is exact per call, and the stored entry
 	// never carries it.
 	CacheHit bool
+
+	// clean is the admission run: the program's fault-free simulation,
+	// shared read-only by every copy of the Result (see Simulate).
+	clean *sim.Result
 }

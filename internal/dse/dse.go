@@ -163,7 +163,7 @@ func Explore(ctx context.Context, g *graph.Graph, a *arch.Arch, base core.Option
 			if cfg.Ctx == nil {
 				cfg.Ctx = ctx
 			}
-			out, err := sim.Run(cres.Program, cfg)
+			out, err := cres.Simulate(cfg)
 			if err != nil {
 				return scored{}, fmt.Errorf("dse: genome sim: %w", err)
 			}

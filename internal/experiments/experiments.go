@@ -34,7 +34,7 @@ func runOne(g *graph.Graph, a *arch.Arch, opt core.Options, trace bool) (*core.R
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := sim.Run(res.Program, sim.Config{CollectTrace: trace})
+	out, err := res.Simulate(sim.Config{CollectTrace: trace})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -78,7 +78,7 @@ func DeathSweep(g *graph.Graph) ([]DeathRow, error) {
 		if err != nil {
 			return DeathRow{}, err
 		}
-		clean, err := sim.Run(res.Program, sim.Config{})
+		clean, err := res.Simulate(sim.Config{})
 		if err != nil {
 			return DeathRow{}, err
 		}

@@ -84,7 +84,7 @@ func Resilience(seed uint64) (*ResilienceBench, error) {
 		if err != nil {
 			return HangRow{}, fmt.Errorf("resilience %s: %w", m.Name, err)
 		}
-		clean, err := sim.Run(res.Program, sim.Config{})
+		clean, err := res.Simulate(sim.Config{})
 		if err != nil {
 			return HangRow{}, fmt.Errorf("resilience %s clean: %w", m.Name, err)
 		}
@@ -134,7 +134,7 @@ func Resilience(seed uint64) (*ResilienceBench, error) {
 		if err != nil {
 			return FlipRow{}, fmt.Errorf("resilience %s: %w", m.Name, err)
 		}
-		clean, err := sim.Run(res.Program, sim.Config{})
+		clean, err := res.Simulate(sim.Config{})
 		if err != nil {
 			return FlipRow{}, fmt.Errorf("resilience %s clean: %w", m.Name, err)
 		}
@@ -172,7 +172,7 @@ func Resilience(seed uint64) (*ResilienceBench, error) {
 			if err != nil {
 				return FlipRow{}, fmt.Errorf("resilience %s stratum %d: %w", m.Name, c.Stratum, err)
 			}
-			subOut, err := sim.Run(subRes.Program, sim.Config{})
+			subOut, err := subRes.Simulate(sim.Config{})
 			if err != nil {
 				return FlipRow{}, fmt.Errorf("resilience %s stratum %d: %w", m.Name, c.Stratum, err)
 			}

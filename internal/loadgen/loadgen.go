@@ -209,7 +209,7 @@ func Resolve(mix []MixEntry) (*Mix, error) {
 		if e.Config == "" {
 			e.Config = "stratum"
 		}
-		m, err := models.ByName(e.Model)
+		g, err := models.Shared(e.Model)
 		if err != nil {
 			return resolved{}, err
 		}
@@ -221,11 +221,11 @@ func Resolve(mix []MixEntry) (*Mix, error) {
 		if err != nil {
 			return resolved{}, err
 		}
-		res, err := core.CompileCached(m.Build(), a, opt)
+		res, err := core.CompileCached(g, a, opt)
 		if err != nil {
 			return resolved{}, fmt.Errorf("loadgen: compile %s/%s/%d: %w", e.Model, e.Config, e.Cores, err)
 		}
-		out, err := sim.Run(res.Program, sim.Config{})
+		out, err := res.Simulate(sim.Config{})
 		if err != nil {
 			return resolved{}, fmt.Errorf("loadgen: sim %s/%s/%d: %w", e.Model, e.Config, e.Cores, err)
 		}

@@ -10,6 +10,7 @@ package models
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/ops"
@@ -51,6 +52,27 @@ func ByName(name string) (Info, error) {
 		}
 	}
 	return Info{}, fmt.Errorf("models: unknown model %q", name)
+}
+
+// shared holds one lazily built graph per model name.
+var shared = func() map[string]func() *graph.Graph {
+	m := map[string]func() *graph.Graph{}
+	for _, info := range append(All(), Extra()...) {
+		m[info.Name] = sync.OnceValue(info.Build)
+	}
+	return m
+}()
+
+// Shared returns the named model's graph, built once per process and
+// handed to every caller. The graph is shared, so it must not be
+// modified: compiling, simulating, recovering and fingerprinting only
+// read it. Use Info.Build for a private graph.
+func Shared(name string) (*graph.Graph, error) {
+	build, ok := shared[name]
+	if !ok {
+		return nil, fmt.Errorf("models: unknown model %q", name)
+	}
+	return build(), nil
 }
 
 // ByNameMust builds the benchmark model with the given name, panicking

@@ -1,8 +1,11 @@
 package models
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
@@ -202,5 +205,49 @@ func TestSmallModels(t *testing.T) {
 	}
 	if c.Len() != 5 { // input + 4 convs
 		t.Errorf("chain len = %d", c.Len())
+	}
+}
+
+func TestShared(t *testing.T) {
+	for _, m := range append(All(), Extra()...) {
+		g, err := Shared(m.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _ := Shared(m.Name)
+		if again != g {
+			t.Errorf("%s: Shared built the graph twice", m.Name)
+		}
+		if !reflect.DeepEqual(g, m.Build()) {
+			t.Errorf("%s: shared graph differs from a fresh build", m.Name)
+		}
+	}
+	if _, err := Shared("ResNet-9000"); err == nil {
+		t.Error("unknown model accepted")
+	}
+}
+
+// TestSharedConcurrent: concurrent first calls build once and all
+// see the same graph (run with -race).
+func TestSharedConcurrent(t *testing.T) {
+	const n = 8
+	got := make([]*graph.Graph, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := Shared("ShuffleNetV2")
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = g
+		}()
+	}
+	wg.Wait()
+	for _, g := range got[1:] {
+		if g != got[0] {
+			t.Fatal("concurrent Shared calls returned different graphs")
+		}
 	}
 }

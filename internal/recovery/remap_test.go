@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/serialize"
 	"repro/internal/sim"
@@ -170,5 +171,28 @@ func TestRemapEmptyCheckpointUsesWholeGraph(t *testing.T) {
 	}
 	if !bytes.Equal(programBytes(t, rm.Compiled), programBytes(t, fresh)) {
 		t.Error("whole-graph remap differs from a fresh compile")
+	}
+}
+
+// Cutting the same suffix twice gives the same compile key, which is
+// what lets Remap share compiles; a different cut gives another key.
+func TestSuffixFingerprintStable(t *testing.T) {
+	g := models.ByNameMust("MobileNetV2")
+	a := arch.Exynos2100Like()
+	opt := core.Stratum()
+	key := func(completed []graph.LayerID) core.CacheKey {
+		t.Helper()
+		suffix, _, err := SuffixGraph(g, completed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Fingerprint(suffix, a, opt)
+	}
+	cut := []graph.LayerID{0, 1, 2, 3}
+	if key(cut) != key(append([]graph.LayerID(nil), cut...)) {
+		t.Error("the same cut fingerprints differently")
+	}
+	if key(cut) == key(cut[:3]) {
+		t.Error("different cuts share a fingerprint")
 	}
 }

@@ -677,15 +677,12 @@ func (s *Server) executeTenants(ctx context.Context, req *TenantsRequest) (resp 
 	})
 }
 
-// requestGraph builds the request's network: a named benchmark model
-// or a serialized custom graph.
+// requestGraph resolves the request's network: a named benchmark
+// model, shared read-only across requests, or a serialized custom
+// graph, decoded per request.
 func requestGraph(req *RunRequest) (*graph.Graph, error) {
 	if req.Model != "" {
-		m, err := models.ByName(req.Model)
-		if err != nil {
-			return nil, err
-		}
-		return m.Build(), nil
+		return models.Shared(req.Model)
 	}
 	g, err := serialize.LoadGraph(bytes.NewReader(req.Graph))
 	if err != nil {

@@ -51,7 +51,9 @@ type Report struct {
 	Opt       string  `json:"opt"`
 	HorizonUS float64 `json:"horizon_us"`
 	Epochs    int     `json:"epochs"`
-	CoSims    int     `json:"co_sims"`
+	// CoSims counts the co-run simulations executed. Isolated
+	// baselines reuse each program's admission run and are not counted.
+	CoSims int `json:"co_sims"`
 	// DeadCores lists cores retired mid-horizon by detected hangs or
 	// announced failures; Failures logs the typed errors survived, in
 	// order. Both empty on a fault-free run.

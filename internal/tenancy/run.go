@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/graph"
-	"repro/internal/plan"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 )
@@ -84,20 +83,16 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 	alive := func() int { return a.NumCores() - len(dead) }
 	var failureLog []string
 
+	// A program alone on its subset runs exactly as it did when the
+	// compiler admitted it for a.Subset(cores), so the isolated
+	// baseline is the admission run and coSims counts only co-runs.
 	coSims := 0
-	isolated := map[*plan.Program]float64{}
 	isolatedOf := func(ts *tenantState) (float64, error) {
-		if v, ok := isolated[ts.cur.Program]; ok {
-			return v, nil
-		}
-		out, err := sim.RunConcurrent(a, []sim.Placement{{Program: ts.cur.Program, Cores: ts.cores}}, icfg)
+		out, err := ts.cur.Simulate(icfg)
 		if err != nil {
 			return 0, fmt.Errorf("tenancy: tenant %s isolated run: %w", ts.spec.Name, err)
 		}
-		coSims++
-		v := out.Stats.ProgramCycles[0]
-		isolated[ts.cur.Program] = v
-		return v, nil
+		return out.Stats.ProgramCycles[0], nil
 	}
 
 	setProgram := func(ts *tenantState) error {

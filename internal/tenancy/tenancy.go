@@ -169,13 +169,13 @@ func (o *Options) opt() core.Options {
 	return core.Stratum()
 }
 
-// buildModel resolves a tenant's model name to a fresh graph.
+// buildModel resolves a tenant's model name to its shared graph.
 func buildModel(name string) (*graph.Graph, error) {
-	m, err := models.ByName(name)
+	g, err := models.Shared(name)
 	if err != nil {
 		return nil, fmt.Errorf("tenancy: %w", err)
 	}
-	return m.Build(), nil
+	return g, nil
 }
 
 // tenantState is the scheduler's mutable view of one tenant.

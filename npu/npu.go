@@ -229,9 +229,10 @@ func Simulate(res *Result, collectTrace bool) (*Report, error) {
 // SimulateCtx is Simulate with cooperative cancellation: the engine
 // polls ctx every few dozen event-loop steps and aborts with a typed
 // *CanceledError (matching ErrCanceled). A nil ctx costs one pointer
-// compare per step.
+// compare per step. Without a trace it returns the compiler's
+// admission run rather than simulating again (see core.Result.Simulate).
 func SimulateCtx(ctx context.Context, res *Result, collectTrace bool) (*Report, error) {
-	out, err := sim.Run(res.Program, sim.Config{Ctx: ctx, CollectTrace: collectTrace})
+	out, err := res.Simulate(sim.Config{Ctx: ctx, CollectTrace: collectTrace})
 	if err != nil {
 		return nil, err
 	}
