@@ -45,38 +45,20 @@ type dseReport struct {
 	WallClockMS float64
 }
 
-// dseParams carries the -dse-* flags into the experiment.
-type dseParams struct {
-	json    string
-	models  string
-	seed    uint64
-	params  dse.Params
-	jobs    int
-	baseCfg string
-}
-
 // runDSE is the -experiment dse hook: a seeded search per requested
 // Table 2 model against the +Stratum heuristic baseline, printed as a
 // table and written to the BENCH_dse.json artifact.
-func runDSE(w io.Writer, p dseParams) error {
+func runDSE(w io.Writer, jsonPath, modelSpec string, seed uint64, jobs int) error {
 	a := arch.Exynos2100Like()
-	base, err := baseOptions(p.baseCfg)
-	if err != nil {
-		return err
-	}
-	names := tableModels(p.models)
-
-	rep := dseReport{Seed: p.seed, Jobs: p.jobs}
+	rep := dseReport{Seed: seed, Jobs: jobs}
 	t0 := time.Now()
-	for _, name := range names {
+	for _, name := range tableModels(modelSpec) {
 		m, err := models.ByName(name)
 		if err != nil {
 			return err
 		}
-		sp := p.params
-		sp.Seed = p.seed
 		mt0 := time.Now()
-		r, err := dse.Explore(nil, m.Build(), a, base, sp)
+		r, err := dse.Explore(nil, m.Build(), a, core.Stratum(), seed)
 		if err != nil {
 			return fmt.Errorf("dse %s: %w", name, err)
 		}
@@ -106,7 +88,7 @@ func runDSE(w io.Writer, p dseParams) error {
 	rep.WallClockMS = float64(time.Since(t0).Microseconds()) / 1000
 
 	printDSE(w, rep)
-	f, err := os.Create(p.json)
+	f, err := os.Create(jsonPath)
 	if err != nil {
 		return err
 	}
@@ -119,23 +101,8 @@ func runDSE(w io.Writer, p dseParams) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "report written to %s\n", p.json)
+	fmt.Fprintf(w, "report written to %s\n", jsonPath)
 	return nil
-}
-
-// baseOptions maps the -dse-base flag to the heuristic configuration
-// the search must beat.
-func baseOptions(name string) (core.Options, error) {
-	switch name {
-	case "", "stratum":
-		return core.Stratum(), nil
-	case "halo":
-		return core.Halo(), nil
-	case "base":
-		return core.Base(), nil
-	default:
-		return core.Options{}, fmt.Errorf("unknown -dse-base %q (base, halo, stratum)", name)
-	}
 }
 
 // tableModels resolves the -dse-models flag: a comma-separated list,

@@ -22,7 +22,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/dse"
 	"repro/internal/experiments"
 	"repro/internal/parallel"
 )
@@ -50,11 +49,6 @@ func main() {
 	dseJSON := flag.String("dse-json", "BENCH_dse.json", "output file for the -experiment dse schedule-search report")
 	dseModels := flag.String("dse-models", "", "comma-separated models for -experiment dse (empty = all Table 2)")
 	dseSeed := flag.Uint64("dse-seed", 1, "seed for the -experiment dse search (same seed, byte-identical report modulo wall-clock)")
-	dseBase := flag.String("dse-base", "stratum", "heuristic baseline configuration the dse search must beat: base, halo, stratum")
-	dseRestarts := flag.Int("dse-restarts", 0, "dse hill-climbing restarts (0 = default)")
-	dseIters := flag.Int("dse-iters", 0, "dse generations per restart (0 = default)")
-	dseBeam := flag.Int("dse-beam", 0, "dse beam width (0 = default)")
-	dseNeighbors := flag.Int("dse-neighbors", 0, "dse perturbations per beam genome per generation (0 = default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Usage = func() {
@@ -180,19 +174,7 @@ func main() {
 		return runResilience(os.Stdout, *resilienceJSON, *resilienceSeed)
 	})
 	run("dse", func() error {
-		return runDSE(os.Stdout, dseParams{
-			json:    *dseJSON,
-			models:  *dseModels,
-			seed:    *dseSeed,
-			jobs:    *jobs,
-			baseCfg: *dseBase,
-			params: dse.Params{
-				Restarts:  *dseRestarts,
-				Iters:     *dseIters,
-				Beam:      *dseBeam,
-				Neighbors: *dseNeighbors,
-			},
-		})
+		return runDSE(os.Stdout, *dseJSON, *dseModels, *dseSeed, *jobs)
 	})
 	run("metrics", func() error {
 		for _, opt := range []core.Options{core.Base(), core.Stratum()} {

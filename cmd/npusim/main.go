@@ -10,7 +10,6 @@
 //	npusim -model MobileNetV2 -gantt 120
 //	npusim -model UNet -trace unet.json   # open in chrome://tracing
 //	npusim -model TinyCNN -faults "drop=0.02,kill=2@400000" -fault-seed 7
-//	npusim -model MobileNetV2 -dse -dse-seed 7   # search schedules beyond h1-h8
 //	npusim -serve :8080                   # POST /run /tenants, GET /healthz /readyz /stats
 //	npusim -tenants "cam=MobileNetV2:prio=2:slo=9000,kbd=TinyCNN:slo=600"
 package main
@@ -30,7 +29,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/dse"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -43,7 +41,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/spm"
-	"repro/internal/stats"
 	"repro/internal/tenancy"
 	"repro/internal/trace"
 )
@@ -59,12 +56,6 @@ func main() {
 	mem := flag.Bool("mem", false, "profile SPM occupancy per core")
 	metricsFlag := flag.Bool("metrics", false, "print the structured utilization report")
 	metricsOut := flag.String("metrics-out", "", "write the structured metrics report as JSON to this file")
-	dseFlag := flag.Bool("dse", false, "run the schedule design-space explorer on the model instead of a one-shot simulation; -config is the heuristic baseline to beat")
-	dseSeed := flag.Uint64("dse-seed", 1, "seed for the -dse search (same seed, same result at any -j)")
-	dseRestarts := flag.Int("dse-restarts", 0, "-dse hill-climbing restarts (0 = default)")
-	dseIters := flag.Int("dse-iters", 0, "-dse generations per restart (0 = default)")
-	dseBeam := flag.Int("dse-beam", 0, "-dse beam width (0 = default)")
-	dseNeighbors := flag.Int("dse-neighbors", 0, "-dse perturbations per beam genome per generation (0 = default)")
 	faults := flag.String("faults", "", `fault spec, e.g. "drop=0.02,throttle=1@50000x0.5,kill=2@400000,hang=1@50000,flip=0.01"`)
 	faultSeed := flag.Uint64("fault-seed", 0, "seed for probabilistic fault decisions")
 	watchdog := flag.Float64("watchdog", 0, "fault mode: progress-watchdog heartbeat in cycles (0 = off); silent hangs become typed detections the recovery path survives")
@@ -126,17 +117,6 @@ func main() {
 		return
 	}
 
-	if *dseFlag {
-		runDSE(g, a, opt, dse.Params{
-			Seed:      *dseSeed,
-			Restarts:  *dseRestarts,
-			Iters:     *dseIters,
-			Beam:      *dseBeam,
-			Neighbors: *dseNeighbors,
-		})
-		return
-	}
-
 	res, err := core.Compile(g, a, opt)
 	if err != nil {
 		fatal(err)
@@ -178,7 +158,7 @@ func main() {
 			float64(cs.BytesLoaded+cs.BytesStored)/1e6)
 	}
 	fmt.Printf("  idle %sus, sync %sus across cores; %d barriers; %.2f GMACs executed\n",
-		stats.Summarize(idles), stats.Summarize(syncs),
+		metrics.Summarize(idles), metrics.Summarize(syncs),
 		out.Stats.Barriers, float64(out.Stats.TotalMACs())/1e9)
 
 	if mo.wanted() {
@@ -243,32 +223,6 @@ func runTenants(a *arch.Arch, spec string, horizonUS float64, out string, opt co
 		}
 		fmt.Printf("tenancy report written to %s\n", out)
 	}
-}
-
-// runDSE searches the joint schedule design space (per-layer
-// partitioning method, stratum fusion boundaries, per-core weight
-// scales) for a schedule faster than the heuristic baseline opt, and
-// prints what it found. The winning schedule is admission-checked and
-// verified bit-identical across both simulator engines by the
-// explorer itself.
-func runDSE(g *graph.Graph, a *arch.Arch, opt core.Options, p dse.Params) {
-	t0 := time.Now()
-	r, err := dse.Explore(nil, g, a, opt, p)
-	if err != nil {
-		fatal(err)
-	}
-	clock := a.ClockMHz
-	fmt.Printf("%s on %s: DSE over %s baseline (seed %d)\n", g.Name, a.Name, opt.Name(), r.Seed)
-	fmt.Printf("  baseline %.1f us (%.0f cycles)\n", r.BaselineCycles/float64(clock), r.BaselineCycles)
-	fmt.Printf("  best     %.1f us (%.0f cycles), %.2f%% faster\n",
-		r.BestCycles/float64(clock), r.BestCycles, r.ImprovementPct)
-	mm, bb, ss := r.Best.Overrides()
-	fmt.Printf("  genome: %d method, %d boundary, %d scale overrides; fallback %s\n",
-		mm, bb, ss, r.BestFallback)
-	fmt.Printf("  %d points evaluated (%d revisits deduped, %d infeasible), compile cache %d hits / %d misses\n",
-		r.Points, r.Revisits, r.Infeasible, r.CacheHits, r.CacheMisses)
-	fmt.Printf("  engines bit-identical on winner: %v; wall %v at -j %d\n",
-		r.EngineMatch, time.Since(t0).Round(time.Millisecond), parallel.Workers())
 }
 
 // runFaulted simulates under a fault plan and, when a core dies or the

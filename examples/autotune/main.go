@@ -2,14 +2,15 @@
 // balances partitions from the cores' nominal DMA rates (16/12/8
 // bytes/cycle), but when the shared bus is the real bottleneck, every
 // core gets roughly equal effective bandwidth and the analytic split
-// overloads the nominally fast core. The tuner measures each core's
-// bottleneck-engine occupancy on the simulator and shifts the
-// partitioning weights until latency stops improving — the paper's
-// "profiling execution assists to detect unwanted idle times and fix
-// the unbalance".
+// overloads the nominally fast core. The schedule search measures each
+// candidate on the simulator; one of its moves scales the partitioning
+// weights by each core's observed bottleneck-engine occupancy — the
+// paper's "profiling execution assists to detect unwanted idle times
+// and fix the unbalance".
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,20 +25,20 @@ func main() {
 	a.BusBytesPerCycle = 8
 	fmt.Println("platform: per-core DMA 16/12/8 B/cycle, shared bus capped at 8 B/cycle")
 
-	res, err := npu.AutoBalance(g, a, npu.Stratum(), 6)
+	res, err := npu.Explore(context.Background(), g, a, npu.Stratum(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	clock := float64(a.ClockMHz)
-	fmt.Println("\ntuning iterations:")
-	for i, s := range res.Steps {
-		fmt.Printf("  iter %d: %8.1f us   scales %.2f / %.2f / %.2f\n",
-			i, s.LatencyCycles/clock, s.Scale[0], s.Scale[1], s.Scale[2])
-	}
-	first := res.Steps[0].LatencyCycles
-	fmt.Printf("\nbest: %.1f us (%.2f%% better than the analytic balance)\n",
-		res.BestLatencyCycles/clock, 100*(first-res.BestLatencyCycles)/first)
+	fmt.Printf("\nanalytic balance: %.1f us\n", res.BaselineCycles/clock)
+	s := res.Best.Scale
+	fmt.Printf("best:             %.1f us (%.2f%% better than the analytic balance)\n",
+		res.BestCycles/clock, res.ImprovementPct)
+	fmt.Printf("  core weight scales %.2f / %.2f / %.2f after %d evaluated schedules\n",
+		s[0], s[1], s[2], res.Points)
+	m, b, _ := res.Best.Overrides()
+	fmt.Printf("  plus %d partitioning-method and %d stratum-boundary overrides\n", m, b)
 	fmt.Println("note the direction: work shifts away from the nominally fast core")
 	fmt.Println("(scale P0 < 1) toward the slow one (scale P2 > 1), because the")
 	fmt.Println("saturated bus equalizes their effective bandwidth at runtime.")

@@ -79,9 +79,9 @@ type Options struct {
 	// pipelining benefit of Section 2.2 (ablation A10).
 	NoDoubleBuffer bool
 	// WeightScale optionally multiplies each core's partitioning
-	// weight; the profile-guided rebalancing loop (package autotune)
-	// feeds measured utilization back through it. Nil means unit
-	// scales.
+	// weight; the design-space explorer's scale genes (package dse),
+	// including its profile-guided rebalancing move, feed measured
+	// utilization back through it. Nil means unit scales.
 	WeightScale []float64
 	// ForceMethods optionally overrides the partitioning method per
 	// layer, indexed by LayerID (the design-space explorer's genome;

@@ -6,7 +6,9 @@
 // joint space — per-layer partitioning-method overrides, per-layer
 // stratum-boundary overrides (fusion depth), and quantized per-core
 // weight scales — with seeded, deterministic random-restart hill
-// climbing plus a beam over neighborhood perturbations.
+// climbing plus a beam over neighborhood perturbations. One of the
+// scale moves is the paper's profile-guided rebalancing (Section
+// 3.1.3), so this search is also the toolchain's only rebalancer.
 //
 // Candidate evaluation is the existing toolchain end to end: genomes
 // lower to core.Options, compile through the fingerprint-keyed
@@ -35,40 +37,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Params bounds one exploration.
-type Params struct {
-	// Seed drives every random decision; same seed, same result.
-	Seed uint64
-	// Restarts is the number of hill-climbing restarts (default 2).
-	// Restart 0 starts from the heuristic baseline genome; later
-	// restarts start from randomized genomes.
-	Restarts int
-	// Beam is how many genomes survive each generation (default 3).
-	Beam int
-	// Iters is the number of generations per restart (default 4).
-	Iters int
-	// Neighbors is how many perturbations each beam genome spawns per
-	// generation (default 4).
-	Neighbors int
-	// Sim configures the objective simulation (deadlines via Sim.Ctx,
-	// SPM-check policy). The zero value keeps the admission check on.
-	Sim sim.Config
-}
-
-func (p *Params) defaults() {
-	if p.Restarts <= 0 {
-		p.Restarts = 2
-	}
-	if p.Beam <= 0 {
-		p.Beam = 3
-	}
-	if p.Iters <= 0 {
-		p.Iters = 4
-	}
-	if p.Neighbors <= 0 {
-		p.Neighbors = 4
-	}
-}
+// The search budget. Restart 0 climbs from the heuristic baseline
+// genome; later restarts start from randomized genomes.
+const (
+	restarts  = 2 // hill-climbing restarts
+	beamWidth = 3 // genomes surviving each generation
+	iters     = 4 // generations per restart
+	neighbors = 4 // perturbations each beam genome spawns per generation
+)
 
 // Explored records one evaluated genome, for the invariants suite.
 type Explored struct {
@@ -128,10 +104,10 @@ type scored struct {
 
 // Explore searches the schedule design space of graph g on
 // architecture a, starting from (and comparing against) base — the
-// heuristic configuration to beat, typically core.Stratum(). ctx
-// cancels the search cooperatively; the error then wraps ctx's error.
-func Explore(ctx context.Context, g *graph.Graph, a *arch.Arch, base core.Options, p Params) (*Result, error) {
-	p.defaults()
+// heuristic configuration to beat, typically core.Stratum(). seed
+// drives every random decision: same seed, same result. ctx cancels
+// the search cooperatively; the error then wraps ctx's error.
+func Explore(ctx context.Context, g *graph.Graph, a *arch.Arch, base core.Options, seed uint64) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("dse: %w", err)
 	}
@@ -140,7 +116,7 @@ func Explore(ctx context.Context, g *graph.Graph, a *arch.Arch, base core.Option
 	}
 	hits0, misses0 := core.CacheStats()
 
-	res := &Result{Model: g.Name, Seed: p.Seed}
+	res := &Result{Model: g.Name, Seed: seed}
 	ms := newMoveSpace(g)
 	seen := make(map[string]scored)
 	seq := 0
@@ -159,11 +135,7 @@ func Explore(ctx context.Context, g *graph.Graph, a *arch.Arch, base core.Option
 				}
 				return scored{}, fmt.Errorf("dse: genome compile: %w", err)
 			}
-			cfg := p.Sim
-			if cfg.Ctx == nil {
-				cfg.Ctx = ctx
-			}
-			out, err := cres.Simulate(cfg)
+			out, err := cres.Simulate(sim.Config{Ctx: ctx})
 			if err != nil {
 				return scored{}, fmt.Errorf("dse: genome sim: %w", err)
 			}
@@ -213,11 +185,11 @@ func Explore(ctx context.Context, g *graph.Graph, a *arch.Arch, base core.Option
 		return x.seq < y.seq
 	}
 
-	for r := 0; r < p.Restarts; r++ {
-		rng := prng(p.Seed + uint64(r)*0x9e3779b97f4a7c15)
+	for r := 0; r < restarts; r++ {
+		rng := prng(seed + uint64(r)*0x9e3779b97f4a7c15)
 		beam := []scored{baseline}
 		if r > 0 {
-			start := ms.randomize(&rng, baseGenome, 2+p.Neighbors)
+			start := ms.randomize(&rng, baseGenome, 2+neighbors)
 			if s, ok := seen[start.key()]; ok {
 				res.Revisits++
 				beam = []scored{s}
@@ -229,11 +201,11 @@ func Explore(ctx context.Context, g *graph.Graph, a *arch.Arch, base core.Option
 				beam = pts
 			}
 		}
-		for it := 0; it < p.Iters; it++ {
+		for it := 0; it < iters; it++ {
 			var batch []Genome
 			var cached []scored
 			for _, b := range beam {
-				for n := 0; n < p.Neighbors; n++ {
+				for n := 0; n < neighbors; n++ {
 					child := ms.mutate(&rng, b.genome, b.work)
 					if s, ok := seen[child.key()]; ok {
 						res.Revisits++
@@ -261,7 +233,7 @@ func Explore(ctx context.Context, g *graph.Graph, a *arch.Arch, base core.Option
 					inPool[k] = true
 					next = append(next, s)
 				}
-				if len(next) == p.Beam {
+				if len(next) == beamWidth {
 					break
 				}
 			}

@@ -21,8 +21,8 @@ import (
 //     fixed h6–h8 cutoff into a tunable fusion-depth vector (Break
 //     forces a boundary, Fuse merges through the h8 cost check).
 //   - Scale: per-core partition-weight multipliers drawn from a fixed
-//     quantized grid, subsuming package autotune's profile-guided
-//     damped rebalancing as one search move.
+//     quantized grid. The paper's profile-guided rebalancing (Section
+//     3.1.3) is one of the moves on it.
 //
 // The all-auto, unit-scale genome lowers to exactly the heuristic
 // baseline: its derived Options fingerprint-match the plain
@@ -201,8 +201,10 @@ func newMoveSpace(g *graph.Graph) *moveSpace {
 
 // mutate returns a copy of parent with one gene perturbed. work is the
 // parent's per-core occupancy profile (nil when unknown); when
-// present, one of the move types is the autotune-style damped
-// rebalancing step applied to the whole scale vector.
+// present, one of the move types is the damped profile-guided
+// rebalancing step applied to the whole scale vector: each core's
+// scale moves by sqrt(mean/work[c]), so a core whose busiest engine
+// runs long gets less of every layer.
 func (ms *moveSpace) mutate(rng *prng, parent Genome, work []float64) Genome {
 	child := parent.clone()
 	// Move weights: methods and boundaries carry the search; scale
@@ -228,8 +230,8 @@ func (ms *moveSpace) mutate(rng *prng, parent Genome, work []float64) Genome {
 		}
 		child.Boundary[id] = pick
 	case move < 85 && len(work) == len(child.Scale) && len(work) > 0:
-		// Rebalance move: the damped profile-guided update of package
-		// autotune, snapped onto the scale grid.
+		// Rebalance move: the damped profile-guided update, snapped
+		// onto the scale grid.
 		var mean float64
 		for _, w := range work {
 			mean += w

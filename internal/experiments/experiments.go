@@ -18,11 +18,11 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // runOne compiles and simulates one (graph, arch, options) point.
@@ -246,11 +246,11 @@ func PrintTable4(w io.Writer, rows []Table4Row) {
 		for _, b := range r.BytesPerCore {
 			fmt.Fprintf(w, "%7.0fKB ", float64(b)/1024)
 		}
-		fmt.Fprintf(w, " %s  ", stats.Summarize(bs).KB())
+		fmt.Fprintf(w, " %s  ", metrics.Summarize(bs).KB())
 		for _, i := range r.IdleUSPerCore {
 			fmt.Fprintf(w, "%5.0fus ", i)
 		}
-		fmt.Fprintf(w, " %s  %8.1fus\n", stats.Summarize(is).String()+"us", r.LatencyUS)
+		fmt.Fprintf(w, " %s  %8.1fus\n", metrics.Summarize(is).String()+"us", r.LatencyUS)
 	}
 	fmt.Fprintln(w, "paper: adaptive has the lowest total transfer and the lowest idle μ and σ")
 }
@@ -263,7 +263,7 @@ type Table5Row struct {
 	// GMACs is the computation amount including stratum redundancy.
 	GMACs float64
 	// SyncUS summarizes per-core synchronization overhead.
-	SyncUS stats.Summary
+	SyncUS metrics.Summary
 }
 
 // Table5 compares halo-exchange only, stratum only, and both combined
@@ -297,7 +297,7 @@ func Table5() ([]Table5Row, error) {
 			Config:    cfg.name,
 			LatencyUS: out.Stats.LatencyMicros(a.ClockMHz),
 			GMACs:     float64(out.Stats.TotalMACs()) / 1e9,
-			SyncUS:    stats.Summarize(syncs),
+			SyncUS:    metrics.Summarize(syncs),
 		}, nil
 	})
 }

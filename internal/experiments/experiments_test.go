@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/stats"
+	"repro/internal/metrics"
 )
 
 func TestTable1(t *testing.T) {
@@ -76,7 +76,7 @@ func TestTable4ShapeMatchesPaper(t *testing.T) {
 	// And the lowest idle mean and spread across cores (the paper's
 	// core-utilization argument for adaptive partitioning).
 	idle := func(r Table4Row) (mean, std float64) {
-		s := stats.Summarize(r.IdleUSPerCore)
+		s := metrics.Summarize(r.IdleUSPerCore)
 		return s.Mean, s.Std
 	}
 	am, as := idle(byName["adaptive"])

@@ -1,7 +1,7 @@
 // Package parallel provides the bounded worker pool the toolchain uses
 // to exploit host cores: experiment sweeps, per-layer partition
-// planning, autotune candidate evaluation, and the reference-executor
-// kernels all fan out through it.
+// planning, design-space-explorer candidate evaluation, and the
+// reference-executor kernels all fan out through it.
 //
 // The engine guarantees determinism: every task writes only its own
 // index's slot, results are collected in index order, and the reported

@@ -30,7 +30,6 @@ func Repeat(p *plan.Program, n int) (*plan.Program, error) {
 	for c, stream := range p.Cores {
 		out.Cores[c] = make([]plan.Instr, 0, len(stream)*n)
 		for it := 0; it < n; it++ {
-			off := len(stream) * it
 			for _, in := range stream {
 				cp := in
 				cp.Deps = make([]plan.Ref, len(in.Deps))
@@ -42,7 +41,6 @@ func Repeat(p *plan.Program, n int) (*plan.Program, error) {
 				}
 				out.Cores[c] = append(out.Cores[c], cp)
 			}
-			_ = off
 		}
 	}
 	return out, out.Validate()

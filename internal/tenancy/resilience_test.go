@@ -3,6 +3,7 @@ package tenancy
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -44,7 +45,7 @@ func TestRunSurvivesHangMidHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameCores(rep.DeadCores, []int{2}) {
+	if !slices.Equal(rep.DeadCores, []int{2}) {
 		t.Fatalf("dead cores %v, want [2]", rep.DeadCores)
 	}
 	if len(rep.Failures) == 0 {
@@ -54,7 +55,7 @@ func TestRunSurvivesHangMidHorizon(t *testing.T) {
 	if tr.Inferences == 0 {
 		t.Fatal("hang degraded service to zero inferences")
 	}
-	if !sameCores(tr.FinalCores, []int{0, 1}) {
+	if !slices.Equal(tr.FinalCores, []int{0, 1}) {
 		t.Errorf("final cores %v, want the survivors [0 1]", tr.FinalCores)
 	}
 	if tr.Remaps == 0 {
@@ -102,7 +103,7 @@ func TestRunSurvivesDeathWithCoTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameCores(rep.DeadCores, []int{0}) {
+	if !slices.Equal(rep.DeadCores, []int{0}) {
 		t.Fatalf("dead cores %v, want [0]", rep.DeadCores)
 	}
 	for _, tr := range rep.Tenants {

@@ -2,6 +2,7 @@ package tenancy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -259,7 +260,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			if ts.firstUS < 0 {
 				ts.firstUS = nowUS
 			}
-			if prev[i] != nil && !sameCores(prev[i], ts.cores) {
+			if prev[i] != nil && !slices.Equal(prev[i], ts.cores) {
 				ts.remaps++
 			}
 			if err := setProgram(ts); err != nil {
@@ -383,27 +384,11 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-func sameCores(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func sortedTimes(set map[float64]bool) []float64 {
 	out := make([]float64, 0, len(set))
 	for t := range set {
 		out = append(out, t)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort; the set is tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Float64s(out)
 	return out
 }

@@ -3,6 +3,7 @@ package tenancy
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -47,7 +48,7 @@ func TestPlacePriorityAndSticky(t *testing.T) {
 	// Single tenant owns the platform.
 	solo := mk("solo", 1, 0)
 	place(a, []*tenantState{solo}, nil)
-	if !sameCores(solo.cores, []int{0, 1, 2}) {
+	if !slices.Equal(solo.cores, []int{0, 1, 2}) {
 		t.Errorf("solo cores = %v", solo.cores)
 	}
 
@@ -57,7 +58,7 @@ func TestPlacePriorityAndSticky(t *testing.T) {
 	if len(hi.cores) != 2 || len(lo.cores) != 1 {
 		t.Fatalf("shares hi=%v lo=%v", hi.cores, lo.cores)
 	}
-	if !sameCores(hi.cores, []int{0, 1}) || !sameCores(lo.cores, []int{2}) {
+	if !slices.Equal(hi.cores, []int{0, 1}) || !slices.Equal(lo.cores, []int{2}) {
 		t.Errorf("placement hi=%v lo=%v, want fastest-first", hi.cores, lo.cores)
 	}
 
@@ -107,7 +108,7 @@ func TestRunSingleTenantNoInterference(t *testing.T) {
 	if tr.MeanLatencyUS != tr.IsolatedUS {
 		t.Errorf("solo mean %.2f != isolated %.2f", tr.MeanLatencyUS, tr.IsolatedUS)
 	}
-	if !sameCores(tr.FinalCores, []int{0, 1, 2}) {
+	if !slices.Equal(tr.FinalCores, []int{0, 1, 2}) {
 		t.Errorf("solo final cores %v", tr.FinalCores)
 	}
 }
@@ -171,7 +172,7 @@ func TestRunArrivalDepartureRemapsDeterministically(t *testing.T) {
 	if len(burst.FinalCores) != 0 {
 		t.Errorf("departed tenant still holds cores %v", burst.FinalCores)
 	}
-	if !sameCores(cam.FinalCores, []int{0, 1, 2}) {
+	if !slices.Equal(cam.FinalCores, []int{0, 1, 2}) {
 		t.Errorf("incumbent did not reclaim the platform: %v", cam.FinalCores)
 	}
 	if rep.Epochs != 3 {

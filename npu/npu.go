@@ -21,14 +21,14 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/autotune"
 	"repro/internal/core"
+	"repro/internal/dse"
 	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/tensor"
 	"repro/internal/tiling"
 )
@@ -205,8 +205,8 @@ func (r *Report) String() string {
 		syncW = append(syncW, c.SyncWait)
 	}
 	fmt.Fprintf(&b, "  idle %s, sync %s, %d barriers, %.1f MB moved, %.2f GMACs executed\n",
-		stats.Summarize(idle).Micros(r.Arch.ClockMHz),
-		stats.Summarize(syncW).Micros(r.Arch.ClockMHz),
+		metrics.Summarize(idle).Micros(r.Arch.ClockMHz),
+		metrics.Summarize(syncW).Micros(r.Arch.ClockMHz),
 		r.Stats.Barriers,
 		float64(r.Stats.TotalBytes())/1e6,
 		float64(r.Stats.TotalMACs())/1e9)
@@ -271,15 +271,18 @@ func (r *Report) EnergyMicroJoules(int16Model bool) float64 {
 	return r.Stats.EnergyMicroJoules(r.Arch.PJPerMAC, r.Arch.PJPerDRAMByte, int16Model)
 }
 
-// TuneResult is the outcome of profile-guided rebalancing.
-type TuneResult = autotune.Result
+// ExploreResult is the outcome of a schedule search.
+type ExploreResult = dse.Result
 
-// AutoBalance compiles, simulates, and iteratively rebalances the
-// per-core partitioning weights from the observed utilization (the
-// paper's profile-guided fix for unbalanced workloads), returning the
-// best schedule found.
-func AutoBalance(g *Graph, a *Arch, opt Options, iters int) (*TuneResult, error) {
-	return autotune.AutoBalance(g, a, opt, iters)
+// Explore searches for a schedule faster than the heuristic
+// configuration base: per-layer partitioning methods, stratum
+// boundaries and per-core partition weights, scored by simulated
+// latency. Its weight moves include the paper's profile-guided fix for
+// unbalanced workloads. The best schedule is never worse than base,
+// and the same seed gives the same result at any worker count. Compile
+// Best.Options(base) to get the winning program.
+func Explore(ctx context.Context, g *Graph, a *Arch, base Options, seed uint64) (*ExploreResult, error) {
+	return dse.Explore(ctx, g, a, base, seed)
 }
 
 // RunBatch simulates n back-to-back inferences and returns the

@@ -2,6 +2,7 @@ package npu_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -79,13 +80,29 @@ func TestRunBatch(t *testing.T) {
 	}
 }
 
-func TestAutoBalancePublicAPI(t *testing.T) {
-	g := npu.BuildModel("MobileNetV2")
-	res, err := npu.AutoBalance(g, npu.Exynos2100Like(), npu.Halo(), 2)
+func TestExplorePublicAPI(t *testing.T) {
+	g := npu.BuildModel("TinyCNN")
+	a := npu.Exynos2100Like()
+	base := npu.Stratum()
+	res, err := npu.Explore(context.Background(), g, a, base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best == nil || len(res.Steps) != 2 {
-		t.Errorf("tune result incomplete: %+v", res)
+	if res.BestCycles > res.BaselineCycles || !res.EngineMatch {
+		t.Fatalf("search result: best %.0f, baseline %.0f, engines match %v",
+			res.BestCycles, res.BaselineCycles, res.EngineMatch)
+	}
+	// The winning genome lowers onto base and recompiles to the
+	// reported latency.
+	best, err := npu.Compile(g, a, res.Best.Options(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := npu.Simulate(best, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.TotalCycles != res.BestCycles {
+		t.Errorf("winner simulates to %.0f cycles, reported %.0f", rep.Stats.TotalCycles, res.BestCycles)
 	}
 }
