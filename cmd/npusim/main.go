@@ -40,7 +40,6 @@ import (
 	"repro/internal/serialize"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/spm"
 	"repro/internal/tenancy"
 	"repro/internal/trace"
 )
@@ -53,7 +52,6 @@ func main() {
 	inFile := flag.String("in", "", "simulate a precompiled program (from npuc -o) instead of compiling")
 	traceOut := flag.String("trace", "", "write Chrome trace JSON to this file")
 	gantt := flag.Int("gantt", 0, "print a text Gantt chart this many columns wide")
-	mem := flag.Bool("mem", false, "profile SPM occupancy per core")
 	metricsFlag := flag.Bool("metrics", false, "print the structured utilization report")
 	metricsOut := flag.String("metrics-out", "", "write the structured metrics report as JSON to this file")
 	faults := flag.String("faults", "", `fault spec, e.g. "drop=0.02,throttle=1@50000x0.5,kill=2@400000,hang=1@50000,flip=0.01"`)
@@ -137,7 +135,7 @@ func main() {
 		return
 	}
 
-	needTrace := *traceOut != "" || *gantt > 0 || *mem
+	needTrace := *traceOut != "" || *gantt > 0
 	col := mo.collector()
 	out, err := res.Simulate(sim.Config{CollectTrace: needTrace, Hook: col.hook()})
 	if err != nil {
@@ -167,14 +165,6 @@ func main() {
 		rep.Model = g.Name
 		rep.Config = opt.Name()
 		emitMetrics(rep, mo)
-	}
-	if *mem {
-		profiles, err := spm.Profile(res.Program, out.Trace)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("SPM occupancy:")
-		fmt.Print(spm.Report(profiles, a.ClockMHz))
 	}
 	if *gantt > 0 {
 		if err := trace.Gantt(os.Stdout, out.Trace, a, *gantt); err != nil {

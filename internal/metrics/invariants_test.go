@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/models"
+	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
@@ -166,9 +167,60 @@ func TestInvariantsTable2(t *testing.T) {
 	}
 }
 
+// A failed run's SPM report is the engine's partial high-water mark,
+// and it counts buffers still in flight when the core died — which a
+// profile rebuilt from the hook's finished-instruction samples misses.
+func TestSPMReportOnCoreFailure(t *testing.T) {
+	a := arch.Exynos2100Like()
+	var res *core.Result
+	for _, cm := range compiledTable2(t) {
+		if cm.name == "MobileNetV2" {
+			res = cm.res
+		}
+	}
+	p := res.Program
+	base, err := sim.Run(p, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dead = 1
+	col := &Collector{}
+	kill := &fault.Plan{Deaths: []fault.Death{{Core: dead, AtCycle: base.Stats.TotalCycles / 2}}}
+	_, err = sim.Run(p, sim.Config{Faults: kill, Hook: col})
+	var cf *sim.CoreFailure
+	if !errors.As(err, &cf) {
+		t.Fatalf("got %v, want *sim.CoreFailure", err)
+	}
+	rep := BuildReport(a, []sim.Placement{{Program: p, Cores: []int{0, 1, 2}}}, &cf.Partial, col)
+	if err := rep.CrossCheck(a, &cf.Partial, 1e-3); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range rep.SPM {
+		st := cf.Partial.PerCore[sp.Core]
+		if sp.PeakBytes != st.SPMPeakBytes || sp.PeakAtCycle != st.SPMPeakAtCycle || sp.Buffers != st.SPMBuffers {
+			t.Errorf("core %d: report peak %d at %v across %d buffers, partial stats %d at %v across %d",
+				sp.Core, sp.PeakBytes, sp.PeakAtCycle, sp.Buffers, st.SPMPeakBytes, st.SPMPeakAtCycle, st.SPMBuffers)
+		}
+	}
+	finished := 0
+	for _, s := range col.Instrs {
+		if s.Core != dead {
+			continue
+		}
+		in := &p.Cores[dead][s.Index]
+		if (in.Op == plan.LoadInput || in.Op == plan.LoadKernel || in.Op == plan.LoadHalo) && in.Bytes > 0 ||
+			in.Op == plan.Compute && in.OutBytes > 0 {
+			finished++
+		}
+	}
+	if got := rep.SPM[dead].Buffers; got <= finished {
+		t.Errorf("dead core reports %d buffers, no more than the %d whose owners finished", got, finished)
+	}
+}
+
 // TestInvariantsConcurrentPlacements extends the cross-checks to a
 // two-program RunConcurrent partition of the platform, exercising the
-// placement-local core remapping in the SPM profile.
+// per-placement SPM rows over global cores.
 func TestInvariantsConcurrentPlacements(t *testing.T) {
 	a := arch.Exynos2100Like()
 	sub01, err := a.Subset([]int{0, 1})

@@ -1,9 +1,9 @@
 // Package metrics is the simulator's observability layer: it turns the
-// event engine's hook samples (sim.Hook) into a structured Report —
-// per-core and per-layer utilization breakdowns, an SPM occupancy
-// profile, the bus demand-vs-granted contention series, and (when a
-// compile result is attached) per-stratum halo-redundancy ratios and
-// compile-pass timings.
+// event engine's hook samples (sim.Hook) and stats into a structured
+// Report — per-core and per-layer utilization breakdowns, per-core SPM
+// high-water marks, the bus demand-vs-granted contention series, and
+// (when a compile result is attached) per-stratum halo-redundancy
+// ratios and compile-pass timings.
 //
 // The paper's evaluation (Figures 10-13) explains where cycles go:
 // halo redundancy, synchronization stalls, bus contention, SPM
@@ -20,7 +20,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/plan"
 	"repro/internal/sim"
-	"repro/internal/spm"
 )
 
 // Collector is the canonical sim.Hook implementation: it records every
@@ -169,10 +168,9 @@ type SPMReport struct {
 	Buffers       int
 	// Utilization is PeakBytes / CapacityBytes.
 	Utilization float64
-	// Fits reports PeakBytes <= CapacityBytes. The profiler measures
-	// real cross-layer pipeline concurrency, so a false here flags a
-	// schedule whose double-buffer budget was optimistic — the latent
-	// overflow class this layer exists to surface (see ROADMAP).
+	// Fits reports PeakBytes <= CapacityBytes. The engine's admission
+	// check fails any run whose live bytes exceed capacity, so Fits is
+	// always true on a run that completed.
 	Fits bool
 }
 
@@ -233,7 +231,7 @@ func BuildReport(a *arch.Arch, placements []sim.Placement, stats *sim.Stats, col
 	r.Cores = coreReports(a, stats, col)
 	r.Layers = layerReports(placements, col)
 	r.Bus = busReport(a, stats.TotalCycles, col)
-	r.SPM = spmReports(a, placements, col)
+	r.SPM = spmReports(a, placements, stats)
 	return r
 }
 
@@ -420,44 +418,21 @@ func busReport(a *arch.Arch, totalCycles float64, col *Collector) BusReport {
 	return br
 }
 
-// spmReports profiles scratch-pad occupancy per placement from the
-// observed timeline and maps the results onto global cores.
-func spmReports(a *arch.Arch, placements []sim.Placement, col *Collector) []SPMReport {
-	// Global core -> placement-local core, per placement.
-	localOf := make([]map[int]int, len(placements))
-	for pi, pl := range placements {
-		localOf[pi] = make(map[int]int, len(pl.Cores))
-		for li, g := range pl.Cores {
-			localOf[pi][g] = li
-		}
-	}
-	perPlacement := make([][]sim.Event, len(placements))
-	for i := range col.Instrs {
-		s := &col.Instrs[i]
-		if s.Placement < 0 || s.Placement >= len(placements) {
-			continue
-		}
-		li, ok := localOf[s.Placement][s.Core]
-		if !ok {
-			continue
-		}
-		perPlacement[s.Placement] = append(perPlacement[s.Placement], sim.Event{
-			Core: li, Index: s.Index, Op: s.Op, Layer: s.Layer, Tile: s.Tile,
-			Start: s.Start, End: s.End, Retries: s.Retries,
-		})
-	}
+// spmReports maps each placed core's scratch-pad high-water mark, as
+// the engine tracked it, onto a report row.
+func spmReports(a *arch.Arch, placements []sim.Placement, stats *sim.Stats) []SPMReport {
 	var out []SPMReport
 	for pi, pl := range placements {
-		profiles := spm.ProfileTimeline(pl.Program, perPlacement[pi])
-		for li, p := range profiles {
+		for _, c := range pl.Cores {
+			st, capacity := &stats.PerCore[c], a.Cores[c].SPMBytes
 			rep := SPMReport{
-				Placement: pi, Core: pl.Cores[li],
-				PeakBytes: p.PeakBytes, PeakAtCycle: p.PeakAtCycle,
-				CapacityBytes: p.CapacityBytes, Buffers: p.Buffers,
-				Fits: p.Fits(),
+				Placement: pi, Core: c,
+				PeakBytes: st.SPMPeakBytes, PeakAtCycle: st.SPMPeakAtCycle,
+				CapacityBytes: capacity, Buffers: st.SPMBuffers,
+				Fits: st.SPMPeakBytes <= capacity,
 			}
-			if p.CapacityBytes > 0 {
-				rep.Utilization = float64(p.PeakBytes) / float64(p.CapacityBytes)
+			if capacity > 0 {
+				rep.Utilization = float64(st.SPMPeakBytes) / float64(capacity)
 			}
 			out = append(out, rep)
 		}
@@ -475,10 +450,7 @@ func spmReports(a *arch.Arch, placements []sim.Placement, col *Collector) []SPMR
 //   - the exclusive idle matches the engine's busy-interval idle
 //     within tol cycles;
 //   - SPM reports tell the truth about capacity: Fits must equal
-//     PeakBytes <= the architecture's SPM size. (An over-capacity peak
-//     is a real finding about the compiled schedule, not a metrics
-//     bug; the invariant tests additionally pin Fits==true on every
-//     model whose schedule stays in budget.)
+//     PeakBytes <= the architecture's SPM size.
 //
 // It returns the first violation found, nil when everything holds.
 func (r *Report) CrossCheck(a *arch.Arch, stats *sim.Stats, tol float64) error {

@@ -363,8 +363,10 @@ func RecoverFrom(g *graph.Graph, a *arch.Arch, failure error, opts Options) (*Re
 // MergedStats folds the wasted work of every failed attempt and the
 // final run into one per-core account, indexed by global core. Engine
 // activity overlaps within a core, so Idle is the conservative
-// remainder after summing all engines (a lower bound). A clean run's
-// account is Final.Stats, unchanged.
+// remainder after summing all engines (a lower bound). The SPM peak is
+// the per-core maximum over attempts, each of which starts with an
+// empty scratch-pad; its cycle is local to the attempt that reached
+// it. A clean run's account is Final.Stats, unchanged.
 func (r *Result) MergedStats() sim.Stats {
 	if !r.Degraded() {
 		return r.Final.Stats
@@ -387,6 +389,10 @@ func (r *Result) MergedStats() sim.Stats {
 			m.BytesStored += p.BytesStored
 			m.MACs += p.MACs
 			m.Retries += p.Retries
+			m.SPMBuffers += p.SPMBuffers
+			if p.SPMPeakBytes > m.SPMPeakBytes {
+				m.SPMPeakBytes, m.SPMPeakAtCycle = p.SPMPeakBytes, p.SPMPeakAtCycle
+			}
 		}
 	}
 	for _, f := range r.Failures {

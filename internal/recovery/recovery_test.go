@@ -120,6 +120,36 @@ func TestRecoverResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// Every attempt starts with an empty scratch-pad, so the merged SPM
+// high-water mark is the per-core maximum over attempts (with the
+// cycle of the attempt that reached it), while buffer counts add up.
+func TestMergedStatsSPMPeakIsPerCoreMax(t *testing.T) {
+	attempt := func(peaks ...int64) sim.Stats {
+		st := sim.Stats{PerCore: make([]sim.CoreStats, len(peaks))}
+		for c, p := range peaks {
+			st.PerCore[c] = sim.CoreStats{SPMPeakBytes: p, SPMPeakAtCycle: float64(p) / 10, SPMBuffers: 1}
+		}
+		return st
+	}
+	r := &Result{
+		Failures:  []*sim.CoreFailure{{Partial: attempt(500, 900, 100)}},
+		Hangs:     []*sim.HangDetected{{Partial: attempt(700, 0, 300)}},
+		DeadCores: []int{1, 2},
+		Final:     &sim.Result{Stats: attempt(600, 0, 0)},
+	}
+	merged := r.MergedStats()
+	for c, want := range []int64{700, 900, 300} {
+		got := merged.PerCore[c]
+		if got.SPMPeakBytes != want || got.SPMPeakAtCycle != float64(want)/10 {
+			t.Errorf("core %d: merged peak %d at %v, want %d at %v",
+				c, got.SPMPeakBytes, got.SPMPeakAtCycle, want, float64(want)/10)
+		}
+		if got.SPMBuffers != 3 {
+			t.Errorf("core %d: merged %d buffers, want 3", c, got.SPMBuffers)
+		}
+	}
+}
+
 func TestRecoverCascadingFailures(t *testing.T) {
 	// Core 0 dies in the first run; the resumed two-core run then loses
 	// core 1 (plan times are per-run local clocks); core 2 finishes.

@@ -698,6 +698,11 @@ func (m *machine) issueReady() {
 		c := int(ei) / numEngines
 		if b := m.spmBuf[nid]; b > 0 {
 			m.spmLive[c] += b
+			st := &m.stats.PerCore[c]
+			st.SPMBuffers++
+			if m.spmLive[c] > st.SPMPeakBytes {
+				st.SPMPeakBytes, st.SPMPeakAtCycle = m.spmLive[c], m.now
+			}
 		}
 		pi := int(m.progOf[nid])
 		switch n.in.Op.Engine() {

@@ -381,6 +381,7 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 					n.start = now
 					if b := spmBuf[nid]; b > 0 {
 						spmLive[c] += b
+						stats.PerCore[c].SPMBuffers++
 					}
 					pi := progOf[nid]
 					switch n.in.Op.Engine() {
@@ -602,6 +603,9 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 		issueAll()
 
 		for c := 0; c < ncores; c++ {
+			if st := &stats.PerCore[c]; spmLive[c] > st.SPMPeakBytes {
+				st.SPMPeakBytes, st.SPMPeakAtCycle = spmLive[c], now
+			}
 			if spmLive[c] <= a.Cores[c].SPMBytes {
 				continue
 			}

@@ -68,6 +68,15 @@ type CoreStats struct {
 	// on this core (zero without fault injection).
 	Retries int
 	Finish  float64 // completion time of the core's last instruction
+	// SPMPeakBytes is the core's scratch-pad high-water mark: the most
+	// bytes its live buffers held at once, under the liveness rules of
+	// the admission check (spmcheck.go). SPMPeakAtCycle is when that
+	// peak was first reached, and SPMBuffers counts the buffers the
+	// core allocated. A failed run's partial stats include buffers
+	// issued but not yet finished.
+	SPMPeakBytes   int64
+	SPMPeakAtCycle float64
+	SPMBuffers     int
 }
 
 // Stats is the outcome of one simulated run.

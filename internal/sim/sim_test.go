@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/models"
 	"repro/internal/ops"
 	"repro/internal/plan"
 	"repro/internal/tensor"
@@ -257,6 +258,53 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if out.Stats.TotalMACs() <= 0 || out.Stats.TotalBytes() <= 0 {
 		t.Error("aggregate totals not positive")
+	}
+}
+
+// Every core of a benchmark model allocates scratch-pad buffers and
+// the engine's admission check holds its high-water mark within
+// capacity.
+func TestSPMPeakBenchmarkModels(t *testing.T) {
+	a := arch.Exynos2100Like()
+	for _, name := range []string{"MobileNetV2", "InceptionV3"} {
+		for _, opt := range []core.Options{core.Base(), core.Stratum()} {
+			out := runCfg(t, models.ByNameMust(name), a, opt)
+			for c, cs := range out.Stats.PerCore {
+				if cs.SPMPeakBytes <= 0 || cs.SPMBuffers <= 0 {
+					t.Errorf("%s/%s core %d: peak %d B across %d buffers",
+						name, opt.Name(), c, cs.SPMPeakBytes, cs.SPMBuffers)
+				}
+				if cs.SPMPeakBytes > a.Cores[c].SPMBytes {
+					t.Errorf("%s/%s core %d: peak %d B beyond capacity %d B",
+						name, opt.Name(), c, cs.SPMPeakBytes, a.Cores[c].SPMBytes)
+				}
+				if cs.SPMPeakAtCycle <= 0 || cs.SPMPeakAtCycle > out.Stats.TotalCycles {
+					t.Errorf("%s/%s core %d: peak at cycle %v outside the run",
+						name, opt.Name(), c, cs.SPMPeakAtCycle)
+				}
+			}
+		}
+	}
+}
+
+// UNet's large activations press the scratch-pad harder than
+// MobileNetV2's.
+func TestSPMPeakScalesWithTensorSize(t *testing.T) {
+	peak := map[string]int64{}
+	for _, cm := range allCompiledModels(t) {
+		if cm.name != "MobileNetV2" && cm.name != "UNet" {
+			continue
+		}
+		out, err := Run(cm.prog, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cs := range out.Stats.PerCore {
+			peak[cm.name] = max(peak[cm.name], cs.SPMPeakBytes)
+		}
+	}
+	if peak["UNet"] <= peak["MobileNetV2"] {
+		t.Errorf("UNet peak %d <= MobileNetV2 peak %d", peak["UNet"], peak["MobileNetV2"])
 	}
 }
 

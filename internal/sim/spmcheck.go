@@ -6,26 +6,25 @@ import (
 	"repro/internal/plan"
 )
 
-// This file is the simulator-side SPM capacity enforcement. Both
-// engines track, per core, the bytes of every live SPM buffer using
-// the same liveness rules spm.ProfileTimeline applies post-hoc: a
-// load's destination buffer is allocated when the load issues and
-// freed when its last dependent compute finishes; a compute's output
-// buffer is allocated when the compute issues and freed when its last
-// reader (dependent compute, store, or halo send) finishes. When a
-// core's live bytes exceed its SPM capacity the run fails with a typed
-// *SPMOverflowError naming the core, the cycle, and the owning
-// buffers.
+// This file is the simulator's SPM occupancy model, the only one that
+// runs over an executed timeline. Both engines track, per core, the
+// bytes of every live SPM buffer: a load's destination buffer is
+// allocated when the load issues and freed when its last dependent
+// compute finishes; a compute's output buffer is allocated when the
+// compute issues and freed when its last reader (dependent compute,
+// store, or halo send) finishes. Each engine records, in its own code,
+// every core's high-water mark in CoreStats (SPMPeakBytes,
+// SPMPeakAtCycle, SPMBuffers). When a core's live bytes exceed its SPM
+// capacity the run fails with a typed *SPMOverflowError naming the
+// core, the cycle, and the owning buffers.
 //
 // The check runs after each step's issue phase. Completions due at
 // time t are processed at the end of the previous step and the buffers
 // they release are freed before the next step issues new work at t, so
-// frees order before allocations at time ties — the same tie-break
-// ProfileTimeline's sweep uses — and the observed maximum equals
-// ProfileTimeline's PeakBytes. (A buffer freed and re-filled by a
-// zero-duration instruction inside one instant could in principle be
-// double-counted relative to the sweep, but every instruction class
-// has a positive duration on real architectures.)
+// frees order before allocations at time ties. (A buffer freed and
+// re-filled by a zero-duration instruction inside one instant could in
+// principle be double-counted, but every instruction class has a
+// positive duration on real architectures.)
 
 // SPMBuffer identifies one live SPM allocation at the moment of an
 // overflow.
@@ -64,7 +63,7 @@ func (e *SPMOverflowError) Error() string {
 
 // spmOwnedBytes returns the SPM bytes instruction in owns while live,
 // or 0 when it allocates nothing (stores and barriers read or
-// synchronize existing buffers). Mirrors ProfileTimeline's owner rule.
+// synchronize existing buffers).
 func spmOwnedBytes(in *plan.Instr) int64 {
 	switch in.Op {
 	case plan.LoadInput, plan.LoadKernel, plan.LoadHalo:
@@ -77,8 +76,7 @@ func spmOwnedBytes(in *plan.Instr) int64 {
 
 // spmReads reports whether a dependent with opcode reader actually
 // reads owner's buffer, as opposed to depending on it only for
-// double-buffer slot reuse or pipeline ordering. Mirrors
-// ProfileTimeline's reader rule.
+// double-buffer slot reuse or pipeline ordering.
 func spmReads(owner, reader plan.OpCode) bool {
 	switch owner {
 	case plan.LoadInput, plan.LoadKernel, plan.LoadHalo:

@@ -12,7 +12,6 @@ import (
 	"repro/internal/ops"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/spm"
 	"repro/internal/tensor"
 	"repro/internal/tiling"
 )
@@ -84,9 +83,9 @@ func TestSoftBudgetOnlyRejectsHardwareUnfit(t *testing.T) {
 
 // Property: the fallback chain always terminates, and its two outcomes
 // are exactly "admissible schedule" or "typed *core.UnfitError". When
-// it produces a schedule, the simulator-measured liveness-exact peak
-// (spm.Profile over a full trace — the authority the admission check
-// mirrors) fits every core's capacity.
+// it produces a schedule, the liveness-exact peak measured by the
+// reference engine — an implementation independent of the event engine
+// that admitted the schedule — fits every core's capacity.
 func TestFallbackChainTerminatesAdmissibly(t *testing.T) {
 	f := func(hRaw, cRaw, depthRaw, spmRaw uint8, widths [4]uint8) bool {
 		h := int(hRaw%48) + 16
@@ -118,16 +117,15 @@ func TestFallbackChainTerminatesAdmissibly(t *testing.T) {
 			var uf *core.UnfitError
 			return errors.As(err, &uf)
 		}
-		out, err := sim.Run(res.Program, sim.Config{CollectTrace: true})
-		if err != nil {
+		if _, err := sim.Run(res.Program, sim.Config{}); err != nil {
 			return false // admitted schedules must simulate cleanly
 		}
-		profiles, err := spm.Profile(res.Program, out.Trace)
+		ref, err := sim.RunReference(res.Program, sim.Config{})
 		if err != nil {
 			return false
 		}
-		for _, p := range profiles {
-			if !p.Fits() {
+		for c, cs := range ref.Stats.PerCore {
+			if cs.SPMPeakBytes > a.Cores[c].SPMBytes {
 				return false
 			}
 		}
@@ -162,18 +160,14 @@ func TestOverBudgetScheduleDeterministicOnBothEngines(t *testing.T) {
 	// Measure the schedule's real peak, then cap the cores below it: the
 	// fixed schedule is over-budget by construction and the admission
 	// check must trip.
-	out, err := sim.Run(res.Program, sim.Config{CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles, err := spm.Profile(res.Program, out.Trace)
+	out, err := sim.RunReference(res.Program, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var peak int64
-	for _, p := range profiles {
-		if p.PeakBytes > peak {
-			peak = p.PeakBytes
+	for _, cs := range out.Stats.PerCore {
+		if cs.SPMPeakBytes > peak {
+			peak = cs.SPMPeakBytes
 		}
 	}
 	for _, capacity := range []int64{peak - 1, peak / 2, peak / 4, peak / 16} {

@@ -372,8 +372,9 @@ func (t *Tiler) cutGrid(l *graph.Layer, inShapes []tensor.Shape, sub partition.S
 // The sweep models the emitter's double-buffered pipeline at tile
 // granularity. Position k is the interval during which tile k (in
 // execution order) computes. Each buffer the emitter will allocate gets
-// a live window in position terms, matching spm.ProfileTimeline's rules
-// for the instructions the emitter emits:
+// a live window in position terms, matching the simulator's SPM
+// liveness rules (sim/spmcheck.go) for the instructions the emitter
+// emits:
 //
 //   - an input region first read by tile f and last read by tile l is
 //     loaded into the slot freed by compute f-2, so it is resident from

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/plan"
@@ -198,32 +197,4 @@ func WriteChrome(w io.Writer, events []sim.Event, a *arch.Arch) error {
 	})
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": out})
-}
-
-// Summary returns a one-line-per-core accounting of a trace: busy time
-// per engine, formatted for reports.
-func Summary(events []sim.Event, a *arch.Arch) string {
-	type agg struct{ load, comp, store, halo float64 }
-	perCore := make([]agg, a.NumCores())
-	for _, ev := range events {
-		d := ev.End - ev.Start
-		switch ev.Op {
-		case plan.Compute:
-			perCore[ev.Core].comp += d
-		case plan.LoadInput, plan.LoadKernel:
-			perCore[ev.Core].load += d
-		case plan.Store:
-			perCore[ev.Core].store += d
-		case plan.LoadHalo, plan.StoreHalo:
-			perCore[ev.Core].halo += d
-		}
-	}
-	var b strings.Builder
-	for c, ag := range perCore {
-		fmt.Fprintf(&b, "%s: compute %.1f us, load %.1f us, store %.1f us, halo %.1f us\n",
-			a.Cores[c].Name,
-			ag.comp/float64(a.ClockMHz), ag.load/float64(a.ClockMHz),
-			ag.store/float64(a.ClockMHz), ag.halo/float64(a.ClockMHz))
-	}
-	return b.String()
 }

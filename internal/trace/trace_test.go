@@ -89,14 +89,6 @@ func TestChromeExport(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	events, a := traceOf(t)
-	s := Summary(events, a)
-	if !strings.Contains(s, "compute") || !strings.Contains(s, "P2") {
-		t.Errorf("summary = %q", s)
-	}
-}
-
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
 func TestGanttBucketEdges(t *testing.T) {

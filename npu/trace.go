@@ -17,8 +17,3 @@ func (r *Report) WriteGantt(w io.Writer, columns int) error {
 func (r *Report) WriteChromeTrace(w io.Writer) error {
 	return trace.WriteChrome(w, r.Trace, r.Arch)
 }
-
-// EngineSummary returns per-core engine busy times as text.
-func (r *Report) EngineSummary() string {
-	return trace.Summary(r.Trace, r.Arch)
-}
