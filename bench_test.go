@@ -285,6 +285,37 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateConcurrent measures a co-run: two +Stratum programs
+// on disjoint core subsets sharing the bus, with CollectTrace on — the
+// shape tenancy simulates every epoch (it cuts placements at stratum
+// boundaries from the trace). Beyond BenchmarkSimulate's allocations,
+// a traced run allocates only its exact-capacity trace.
+func BenchmarkSimulateConcurrent(b *testing.B) {
+	global := arch.Exynos2100Like()
+	var placements []sim.Placement
+	for _, pl := range []struct {
+		model string
+		cores []int
+	}{{"MobileNetV2", []int{0}}, {"InceptionV3", []int{1, 2}}} {
+		sub, err := global.Subset(pl.cores)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Compile(models.ByNameMust(pl.model), sub, core.Stratum())
+		if err != nil {
+			b.Fatal(err)
+		}
+		placements = append(placements, sim.Placement{Program: res.Program, Cores: pl.cores})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunConcurrent(global, placements, sim.Config{CollectTrace: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulateCtx measures what arming the cooperative
 // cancellation checkpoints costs the event engine: "nil" is the bare
 // fast path (one pointer compare per step), "background" polls a live

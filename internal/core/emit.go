@@ -301,6 +301,7 @@ func (e *emitter) emit() (*plan.Program, error) {
 	for _, s := range e.strat {
 		strata = append(strata, append([]graph.LayerID(nil), s.Layers...))
 	}
+	plan.PackDeps(e.streams)
 	prog := &plan.Program{
 		Arch:        e.a,
 		Graph:       e.g,

@@ -240,23 +240,42 @@ func (p *Program) Validate() error {
 }
 
 // checkAcyclic runs Kahn's algorithm over dependency edges plus
-// per-engine program order and barrier rendezvous edges.
+// per-engine program order. All Barrier instructions sharing an ID are
+// one rendezvous node: none releases until every core's copy has
+// arrived, so an edge into any copy gates them all and an edge out of
+// any copy waits on all of them.
 func (p *Program) checkAcyclic() error {
-	// Global node numbering.
+	// Global node numbering: one node per instruction, then one per
+	// barrier ID in first-seen order. A Barrier's own instruction node
+	// stays isolated.
 	base := make([]int, len(p.Cores)+1)
 	for c := range p.Cores {
 		base[c+1] = base[c] + len(p.Cores[c])
 	}
 	n := base[len(p.Cores)]
-	adj := make([][]int32, n)
-	indeg := make([]int, n)
+	rendezvous := make(map[int]int)
+	for _, stream := range p.Cores {
+		for _, in := range stream {
+			if _, ok := rendezvous[in.BarrierID]; in.Op == Barrier && !ok {
+				rendezvous[in.BarrierID] = n + len(rendezvous)
+			}
+		}
+	}
+	nodes := n + len(rendezvous)
+	adj := make([][]int32, nodes)
+	indeg := make([]int, nodes)
 	addEdge := func(from, to int) {
 		adj[from] = append(adj[from], int32(to))
 		indeg[to]++
 	}
-	node := func(r Ref) int { return base[r.Core] + r.Index }
+	node := func(r Ref) int {
+		if in := &p.Cores[r.Core][r.Index]; in.Op == Barrier {
+			return rendezvous[in.BarrierID]
+		}
+		return base[r.Core] + r.Index
+	}
 
-	// Per-engine program order.
+	// Per-engine program order and dependency edges.
 	for c, stream := range p.Cores {
 		last := map[Engine]int{}
 		for i, in := range stream {
@@ -270,23 +289,15 @@ func (p *Program) checkAcyclic() error {
 			}
 		}
 	}
-	// Barrier rendezvous: every barrier of an ID depends on every
-	// other core's preceding instruction set. Approximate with edges
-	// between matching barrier nodes' dependencies — the simulator
-	// enforces the full rendezvous; for acyclicity, tie matching
-	// barriers pairwise through a virtual ordering is unnecessary
-	// since rendezvous cannot create cycles unless deps already do.
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
+	queue := make([]int, 0, nodes)
+	for i := 0; i < nodes; i++ {
 		if indeg[i] == 0 {
 			queue = append(queue, i)
 		}
 	}
-	seen := 0
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		seen++
 		for _, w := range adj[v] {
 			indeg[w]--
 			if indeg[w] == 0 {
@@ -294,8 +305,41 @@ func (p *Program) checkAcyclic() error {
 			}
 		}
 	}
-	if seen != n {
-		return fmt.Errorf("plan: dependency cycle among %d of %d instructions", n-seen, n)
+	stuck := 0
+	for c, stream := range p.Cores {
+		for i := range stream {
+			if indeg[node(Ref{c, i})] > 0 {
+				stuck++
+			}
+		}
+	}
+	if stuck > 0 {
+		return fmt.Errorf("plan: dependency cycle among %d of %d instructions", stuck, n)
 	}
 	return nil
+}
+
+// PackDeps moves each stream's dependency refs into one backing array
+// per stream, so a consumer walks them contiguously instead of chasing
+// one heap object per instruction. The array is sized before it is
+// filled, so no instruction is left pointing into an abandoned copy,
+// and each instruction's Deps is capped at its own length: appending
+// to it reallocates rather than overwriting its neighbour's refs.
+// Instructions without deps keep their Deps as they are.
+func PackDeps(streams [][]Instr) {
+	for _, s := range streams {
+		n := 0
+		for i := range s {
+			n += len(s[i].Deps)
+		}
+		arena := make([]Ref, 0, n)
+		for i := range s {
+			if len(s[i].Deps) == 0 {
+				continue
+			}
+			lo := len(arena)
+			arena = append(arena, s[i].Deps...)
+			s[i].Deps = arena[lo:len(arena):len(arena)]
+		}
+	}
 }

@@ -248,6 +248,7 @@ func LoadProgram(r io.Reader) (*plan.Program, error) {
 		}
 	}
 	g.DType = doc.Graph.DType
+	plan.PackDeps(doc.Cores)
 	p := &plan.Program{
 		Arch:        doc.Arch,
 		Graph:       g,

@@ -2,15 +2,21 @@ package serialize
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/models"
+	"repro/internal/ops"
+	"repro/internal/plan"
 	"repro/internal/randgraph"
 	"repro/internal/sim"
+	"repro/internal/tensor"
 )
 
 func TestGraphRoundTrip(t *testing.T) {
@@ -84,20 +90,72 @@ func TestProgramRoundTripSimulatesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out1, err := sim.Run(res.Program, sim.Config{})
+	// Loading packs each core's deps into one backing array, each
+	// instruction's slice capped at its own length.
+	for c, stream := range p2.Cores {
+		var prev []plan.Ref
+		for i, in := range stream {
+			if len(in.Deps) == 0 {
+				continue
+			}
+			if cap(in.Deps) != len(in.Deps) ||
+				prev != nil && unsafe.Pointer(&in.Deps[0]) != unsafe.Add(unsafe.Pointer(&prev[0]), len(prev)*int(unsafe.Sizeof(plan.Ref{}))) {
+				t.Fatalf("core %d instr %d: deps not packed after load", c, i)
+			}
+			prev = in.Deps
+		}
+	}
+	cfg := sim.Config{CollectTrace: true}
+	out1, err := sim.Run(res.Program, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := sim.Run(p2, sim.Config{})
+	out2, err := sim.Run(p2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out1.Stats.TotalCycles != out2.Stats.TotalCycles {
-		t.Errorf("latency changed after round trip: %.0f != %.0f",
+	if !reflect.DeepEqual(out1, out2) {
+		t.Errorf("simulation changed after round trip: %.0f vs %.0f cycles",
 			out1.Stats.TotalCycles, out2.Stats.TotalCycles)
 	}
-	if out1.Stats.TotalBytes() != out2.Stats.TotalBytes() {
-		t.Error("traffic changed after round trip")
+}
+
+// TestLoadRejectsBarrierDeadlock: core 0 runs Barrier 0 and then a
+// compute gated on it; core 1 runs a compute gated on core 0's compute
+// and then Barrier 0 gated on that. Both engines deadlock on it, so
+// loading must reject it rather than leave the failure to simulation.
+func TestLoadRejectsBarrierDeadlock(t *testing.T) {
+	g := graph.New("deadlock", tensor.Int8)
+	in := g.Input("input", tensor.NewShape(8, 8, 4))
+	g.MustAdd("relu", ops.Activation{Func: ops.ReLU}, in)
+	p := &plan.Program{
+		Arch:  arch.Homogeneous(2),
+		Graph: g,
+		Cores: [][]plan.Instr{
+			{
+				{Op: plan.Barrier, Layer: 1, Tile: -1, BarrierID: 0},
+				{Op: plan.Compute, Layer: 1, MACs: 100, Deps: []plan.Ref{{Core: 0, Index: 0}}, BarrierID: -1},
+			},
+			{
+				{Op: plan.Compute, Layer: 1, MACs: 100, Deps: []plan.Ref{{Core: 0, Index: 1}}, BarrierID: -1},
+				{Op: plan.Barrier, Layer: 1, Tile: -1, Deps: []plan.Ref{{Core: 1, Index: 0}}, BarrierID: 0},
+			},
+		},
+		NumBarriers: 1,
+	}
+	for name, run := range map[string]func(*plan.Program, sim.Config) (*sim.Result, error){
+		"event": sim.Run, "reference": sim.RunReference,
+	} {
+		if _, err := run(p, sim.Config{}); err == nil || !strings.Contains(err.Error(), "deadlock at t=0") {
+			t.Errorf("%s engine: want a deadlock at t=0, got %v", name, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := SaveProgram(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadProgram(&buf); err == nil || !strings.Contains(err.Error(), "cycle") {
+		t.Errorf("deadlocking program loaded: %v", err)
 	}
 }
 

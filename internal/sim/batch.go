@@ -30,16 +30,21 @@ func Repeat(p *plan.Program, n int) (*plan.Program, error) {
 	for c, stream := range p.Cores {
 		out.Cores[c] = make([]plan.Instr, 0, len(stream)*n)
 		for it := 0; it < n; it++ {
-			for _, in := range stream {
-				cp := in
-				cp.Deps = make([]plan.Ref, len(in.Deps))
-				for j, d := range in.Deps {
-					cp.Deps[j] = plan.Ref{Core: d.Core, Index: d.Index + len(p.Cores[d.Core])*it}
-				}
-				if cp.Op == plan.Barrier {
-					cp.BarrierID = in.BarrierID + p.NumBarriers*it
-				}
-				out.Cores[c] = append(out.Cores[c], cp)
+			out.Cores[c] = append(out.Cores[c], stream...)
+		}
+	}
+	// The copies share p's Deps until packed; packing gives each its own
+	// refs to shift in place.
+	plan.PackDeps(out.Cores)
+	for c, stream := range p.Cores {
+		for i := range out.Cores[c] {
+			in := &out.Cores[c][i]
+			it := i / len(stream)
+			for j := range in.Deps {
+				in.Deps[j].Index += len(p.Cores[in.Deps[j].Core]) * it
+			}
+			if in.Op == plan.Barrier {
+				in.BarrierID += p.NumBarriers * it
 			}
 		}
 	}

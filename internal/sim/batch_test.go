@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/plan"
 )
 
 func TestRepeatValid(t *testing.T) {
@@ -25,6 +26,23 @@ func TestRepeatValid(t *testing.T) {
 	}
 	if rep.NumBarriers != 4*res.Program.NumBarriers {
 		t.Errorf("barriers = %d", rep.NumBarriers)
+	}
+	// Iteration it's deps are the source's shifted by it whole streams,
+	// each capped at its own length; the shift must leave the source
+	// program's shared deps untouched.
+	for c, stream := range res.Program.Cores {
+		for i, in := range rep.Cores[c] {
+			it := i / len(stream)
+			orig := stream[i%len(stream)].Deps
+			if len(in.Deps) != len(orig) || cap(in.Deps) != len(in.Deps) {
+				t.Fatalf("core %d instr %d: %d deps (cap %d), source has %d", c, i, len(in.Deps), cap(in.Deps), len(orig))
+			}
+			for j, d := range in.Deps {
+				if want := (plan.Ref{Core: orig[j].Core, Index: orig[j].Index + it*len(res.Program.Cores[orig[j].Core])}); d != want {
+					t.Fatalf("core %d instr %d dep %d = %+v, want %+v", c, i, j, d, want)
+				}
+			}
+		}
 	}
 	if _, err := Repeat(res.Program, 0); err == nil {
 		t.Error("zero repeat accepted")

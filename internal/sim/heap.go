@@ -35,8 +35,8 @@ type heapEntry struct {
 // reused across runs via the engine scratch pool.
 type eventHeap struct {
 	items []heapEntry
-	// pos[kind] maps id -> slot+1. evFault shares posBarrier? No —
-	// it has a dedicated scalar since there is only ever one entry.
+	// pos* map id -> slot+1 per kind; evFault has a scalar because
+	// there is only ever one fault entry.
 	posCompute []int32
 	posSetup   []int32
 	posBarrier []int32
@@ -47,22 +47,10 @@ type eventHeap struct {
 // flat barriers, reusing prior capacity.
 func (h *eventHeap) reset(nNodes, nBarriers int) {
 	h.items = h.items[:0]
-	h.posCompute = resizeInt32(h.posCompute, nNodes)
-	h.posSetup = resizeInt32(h.posSetup, nNodes)
-	h.posBarrier = resizeInt32(h.posBarrier, nBarriers)
+	h.posCompute = resize(h.posCompute, nNodes)
+	h.posSetup = resize(h.posSetup, nNodes)
+	h.posBarrier = resize(h.posBarrier, nBarriers)
 	h.posFault = 0
-}
-
-// resizeInt32 returns a zeroed slice of length n, reusing capacity.
-func resizeInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 func (h *eventHeap) slot(kind eventKind, id int32) *int32 {
