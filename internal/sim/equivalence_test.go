@@ -83,43 +83,34 @@ func equivalencePlans(killCycle float64) []struct {
 	}
 }
 
-// runBoth runs both engines and requires identical outcomes: equal
-// Results on success, DeepEqual CoreFailures on failure.
+// runBoth runs both engines and requires identical outcomes: DeepEqual
+// Results (stats, trace event for event, corruptions) on success, and
+// DeepEqual errors on failure, typed failures (*CoreFailure,
+// *HangDetected, *SPMOverflowError) field for field.
 func runBoth(t *testing.T, a *arch.Arch, placements []Placement, cfg Config) (*Result, error) {
 	t.Helper()
 	ref, refErr := RunConcurrentReference(a, placements, cfg)
 	ev, evErr := RunConcurrent(a, placements, cfg)
-	switch {
-	case refErr == nil && evErr == nil:
-		if !reflect.DeepEqual(ref.Stats, ev.Stats) {
-			t.Fatalf("stats diverge:\nreference: %+v\nevent:     %+v", ref.Stats, ev.Stats)
-		}
-		if !reflect.DeepEqual(ref.Trace, ev.Trace) {
-			for i := range ref.Trace {
-				if i < len(ev.Trace) && !reflect.DeepEqual(ref.Trace[i], ev.Trace[i]) {
-					t.Fatalf("trace diverges at event %d:\nreference: %+v\nevent:     %+v",
-						i, ref.Trace[i], ev.Trace[i])
-				}
-			}
-			t.Fatalf("trace lengths diverge: reference %d, event %d", len(ref.Trace), len(ev.Trace))
-		}
-	case refErr != nil && evErr != nil:
-		refCF, refIs := refErr.(*CoreFailure)
-		evCF, evIs := evErr.(*CoreFailure)
-		if refIs != evIs {
-			t.Fatalf("failure types diverge: reference %T, event %T", refErr, evErr)
-		}
-		if refIs {
-			if !reflect.DeepEqual(refCF, evCF) {
-				t.Fatalf("core failures diverge:\nreference: %+v\nevent:     %+v", refCF, evCF)
-			}
-		} else if refErr.Error() != evErr.Error() {
-			t.Fatalf("errors diverge: reference %q, event %q", refErr, evErr)
-		}
-	default:
-		t.Fatalf("outcomes diverge: reference err=%v, event err=%v", refErr, evErr)
+	if !reflect.DeepEqual(refErr, evErr) {
+		t.Fatalf("outcomes diverge:\nreference: %T %+v\nevent:     %T %+v", refErr, refErr, evErr, evErr)
 	}
-	return ref, refErr
+	if refErr != nil || reflect.DeepEqual(ref, ev) {
+		return ref, refErr
+	}
+	if !reflect.DeepEqual(ref.Stats, ev.Stats) {
+		t.Fatalf("stats diverge:\nreference: %+v\nevent:     %+v", ref.Stats, ev.Stats)
+	}
+	for i := range ref.Trace {
+		if i < len(ev.Trace) && !reflect.DeepEqual(ref.Trace[i], ev.Trace[i]) {
+			t.Fatalf("trace diverges at event %d:\nreference: %+v\nevent:     %+v",
+				i, ref.Trace[i], ev.Trace[i])
+		}
+	}
+	if len(ref.Trace) != len(ev.Trace) {
+		t.Fatalf("trace lengths diverge: reference %d, event %d", len(ref.Trace), len(ev.Trace))
+	}
+	t.Fatalf("corruptions diverge:\nreference: %+v\nevent:     %+v", ref.Corruptions, ev.Corruptions)
+	return nil, nil
 }
 
 func TestEngineMatchesReferenceOnAllModels(t *testing.T) {

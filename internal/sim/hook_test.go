@@ -126,8 +126,8 @@ func TestHookSampleTotals(t *testing.T) {
 
 // TestNilHookCheapPath pins the nil-hook cost story: a steady-state
 // run allocates orders of magnitude below the pre-pooling engine
-// (15k-33k allocs per run). The exact count (5, see BENCH_sim.json)
-// is asserted by BenchmarkSimulate; AllocsPerRun can see a few extra
+// (15k-33k allocs per run). The exact count (5) is gated in CI against
+// BENCH_sim.json, measured with one P; AllocsPerRun can see a few extra
 // when GC empties the machine pool mid-measurement, so this test only
 // bounds the order of magnitude.
 func TestNilHookCheapPath(t *testing.T) {

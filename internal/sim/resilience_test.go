@@ -21,43 +21,6 @@ import (
 // hangs into typed HangDetected errors. Every behavior is asserted on
 // both engines, which must agree bit-exactly.
 
-// runBothHang runs both engines and requires identical outcomes,
-// including DeepEqual *HangDetected errors.
-func runBothHang(t *testing.T, a *arch.Arch, placements []Placement, cfg Config) (*Result, error) {
-	t.Helper()
-	ref, refErr := RunConcurrentReference(a, placements, cfg)
-	ev, evErr := RunConcurrent(a, placements, cfg)
-	switch {
-	case refErr == nil && evErr == nil:
-		if !reflect.DeepEqual(ref.Stats, ev.Stats) {
-			t.Fatalf("stats diverge:\nreference: %+v\nevent:     %+v", ref.Stats, ev.Stats)
-		}
-		if !reflect.DeepEqual(ref.Trace, ev.Trace) {
-			t.Fatal("traces diverge")
-		}
-		if !reflect.DeepEqual(ref.Corruptions, ev.Corruptions) {
-			t.Fatalf("corruptions diverge:\nreference: %+v\nevent:     %+v", ref.Corruptions, ev.Corruptions)
-		}
-	case refErr != nil && evErr != nil:
-		var refHD, evHD *HangDetected
-		refIs := errors.As(refErr, &refHD)
-		evIs := errors.As(evErr, &evHD)
-		if refIs != evIs {
-			t.Fatalf("failure types diverge: reference %T, event %T", refErr, evErr)
-		}
-		if refIs {
-			if !reflect.DeepEqual(refHD, evHD) {
-				t.Fatalf("hang detections diverge:\nreference: %+v\nevent:     %+v", refHD, evHD)
-			}
-		} else if refErr.Error() != evErr.Error() {
-			t.Fatalf("errors diverge: reference %q, event %q", refErr, evErr)
-		}
-	default:
-		t.Fatalf("outcomes diverge: reference err=%v, event err=%v", refErr, evErr)
-	}
-	return ref, refErr
-}
-
 // wholeMachine wraps a compiled program as a one-placement run over
 // every core of its architecture.
 func wholeMachine(t *testing.T, g *graph.Graph, opt core.Options) (*arch.Arch, []Placement) {
@@ -83,7 +46,7 @@ func TestWatchdogDetectsHang(t *testing.T) {
 	}
 	hangAt := clean.Stats.TotalCycles / 2
 	heartbeat := clean.Stats.TotalCycles / 20
-	_, err = runBothHang(t, a, pl, Config{
+	_, err = runBoth(t, a, pl, Config{
 		Faults:         &fault.Plan{Hangs: []fault.Hang{{Core: 1, AtCycle: hangAt}}},
 		WatchdogCycles: heartbeat,
 	})
@@ -124,7 +87,7 @@ func TestWatchdogDetectionLatencySweep(t *testing.T) {
 	hangAt := clean.Stats.TotalCycles * 0.4
 	for _, frac := range []float64{0.02, 0.05, 0.1, 0.25} {
 		heartbeat := clean.Stats.TotalCycles * frac
-		_, err := runBothHang(t, a, pl, Config{
+		_, err := runBoth(t, a, pl, Config{
 			Faults:         &fault.Plan{Hangs: []fault.Hang{{Core: 0, AtCycle: hangAt}}},
 			WatchdogCycles: heartbeat,
 		})
@@ -160,13 +123,13 @@ func TestWatchdogNoFalsePositives(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			watched, err := runBothHang(t, a, pl, Config{Faults: tc.plan, WatchdogCycles: 500})
+			watched, err := runBoth(t, a, pl, Config{Faults: tc.plan, WatchdogCycles: 500})
 			if err != nil {
 				t.Fatalf("watchdog false positive: %v", err)
 			}
 			// Beats subdivide the DMA integration steps, so cycle counts
 			// may drift at float-rounding scale — but no further, and the
-			// two engines must still agree bit-exactly (runBothHang).
+			// two engines must still agree bit-exactly (runBoth).
 			d := watched.Stats.TotalCycles - bare.Stats.TotalCycles
 			if d < 0 {
 				d = -d
@@ -188,7 +151,7 @@ func TestHangWithoutWatchdogDeadlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runBothHang(t, a, pl, Config{
+	_, err = runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{Hangs: []fault.Hang{{Core: 1, AtCycle: clean.Stats.TotalCycles / 2}}},
 	})
 	if err == nil {
@@ -210,7 +173,7 @@ func TestResumingHangCompletesSlower(t *testing.T) {
 		t.Fatal(err)
 	}
 	stall := clean.Stats.TotalCycles / 4
-	res, err := runBothHang(t, a, pl, Config{
+	res, err := runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{Hangs: []fault.Hang{
 			{Core: 1, AtCycle: clean.Stats.TotalCycles / 3, ResumeAfter: stall},
 		}},
@@ -241,7 +204,7 @@ func TestSilentSlowdownSlowsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := runBothHang(t, a, pl, Config{
+	slow, err := runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{Slowdowns: []fault.Slowdown{{Core: 0, AtCycle: 0, Factor: 0.25}}},
 	})
 	if err != nil {
@@ -253,7 +216,7 @@ func TestSilentSlowdownSlowsRun(t *testing.T) {
 	}
 	// Slowdown composes with an announced throttle: both at 0.5 on the
 	// same core behave like an effective 0.25.
-	both, err := runBothHang(t, a, pl, Config{
+	both, err := runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{
 			Throttles: []fault.Throttle{{Core: 0, AtCycle: 0, Factor: 0.5}},
 			Slowdowns: []fault.Slowdown{{Core: 0, AtCycle: 0, Factor: 0.5}},
@@ -274,7 +237,7 @@ func TestBitFlipsDetectedAtStratumBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runBothHang(t, a, pl, Config{
+	res, err := runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{Seed: 5, FlipRate: 0.2},
 	})
 	if err != nil {
@@ -332,8 +295,8 @@ func TestResilienceDeterminism(t *testing.T) {
 		},
 		WatchdogCycles: clean.Stats.TotalCycles / 10,
 	}
-	_, err1 := runBothHang(t, a, pl, cfg)
-	_, err2 := runBothHang(t, a, pl, cfg)
+	_, err1 := runBoth(t, a, pl, cfg)
+	_, err2 := runBoth(t, a, pl, cfg)
 	var hd1, hd2 *HangDetected
 	if !errors.As(err1, &hd1) || !errors.As(err2, &hd2) {
 		t.Fatalf("expected hang detections, got %v / %v", err1, err2)
