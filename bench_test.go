@@ -286,10 +286,11 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // BenchmarkSimulateConcurrent measures a co-run: two +Stratum programs
-// on disjoint core subsets sharing the bus, with CollectTrace on — the
-// shape tenancy simulates every epoch (it cuts placements at stratum
-// boundaries from the trace). Beyond BenchmarkSimulate's allocations,
-// a traced run allocates only its exact-capacity trace.
+// on disjoint core subsets sharing the bus, recorded by one reused
+// sim.Recorder — the shape tenancy simulates every epoch (it cuts
+// placements at stratum boundaries from the trace). Once the recorder
+// has grown to a run's length, a traced run allocates no more than an
+// untraced one.
 func BenchmarkSimulateConcurrent(b *testing.B) {
 	global := arch.Exynos2100Like()
 	var placements []sim.Placement
@@ -307,10 +308,12 @@ func BenchmarkSimulateConcurrent(b *testing.B) {
 		}
 		placements = append(placements, sim.Placement{Program: res.Program, Cores: pl.cores})
 	}
+	rec := &sim.Recorder{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunConcurrent(global, placements, sim.Config{CollectTrace: true}); err != nil {
+		rec.Reset()
+		if _, err := sim.RunConcurrent(global, placements, sim.Config{Hook: rec}); err != nil {
 			b.Fatal(err)
 		}
 	}

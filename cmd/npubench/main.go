@@ -37,7 +37,6 @@ func fatal(prefix string, err error) {
 
 func main() {
 	which := flag.String("experiment", "all", "fig11, fig12, table1, table2, table4, table5, ablation, concurrent, dse, faults, loadgen, metrics, resilience, spm, tenancy, or all")
-	metricsOnly := flag.Bool("metrics", false, "print the Figure-10-style utilization table for the Table 2 nets (alias for -experiment metrics)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for compile/simulate sweeps (1 forces serial)")
 	benchJSON := flag.String("bench-json", "", "A/B-benchmark the event simulator engine against the reference engine, write the report to this file, and exit")
 	benchTime := flag.Duration("bench-time", time.Second, "per-measurement duration for -bench-json")
@@ -58,9 +57,6 @@ func main() {
 	}
 	flag.Parse()
 	parallel.SetWorkers(*jobs)
-	if *metricsOnly {
-		*which = "metrics"
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -74,7 +74,7 @@ func main() {
 	flag.Parse()
 	parallel.SetWorkers(*jobs)
 
-	mo := metricsOpts{print: *metricsFlag, out: *metricsOut}
+	obs := observeOpts{print: *metricsFlag, out: *metricsOut, traceOut: *traceOut, gantt: *gantt}
 
 	if *serveAddr != "" {
 		runServe(*serveAddr, serve.Options{
@@ -87,7 +87,7 @@ func main() {
 	}
 
 	if *inFile != "" {
-		simulateFile(*inFile, *traceOut, *gantt, mo)
+		simulateFile(*inFile, obs)
 		return
 	}
 
@@ -131,13 +131,11 @@ func main() {
 		if err := plan.ValidateFor(a.NumCores()); err != nil {
 			fatal(err)
 		}
-		runFaulted(g, a, opt, res, plan, *watchdog, mo)
+		runFaulted(g, a, opt, res, plan, *watchdog, obs)
 		return
 	}
 
-	needTrace := *traceOut != "" || *gantt > 0
-	col := mo.collector()
-	out, err := res.Simulate(sim.Config{CollectTrace: needTrace, Hook: col.hook()})
+	out, err := res.Simulate(sim.Config{Hook: obs.hook()})
 	if err != nil {
 		fatal(err)
 	}
@@ -158,30 +156,7 @@ func main() {
 	fmt.Printf("  idle %sus, sync %sus across cores; %d barriers; %.2f GMACs executed\n",
 		metrics.Summarize(idles), metrics.Summarize(syncs),
 		out.Stats.Barriers, float64(out.Stats.TotalMACs())/1e9)
-
-	if mo.wanted() {
-		rep := buildReport(a, res.Program, &out.Stats, mo.col)
-		rep.AttachCompile(res)
-		rep.Model = g.Name
-		rep.Config = opt.Name()
-		emitMetrics(rep, mo)
-	}
-	if *gantt > 0 {
-		if err := trace.Gantt(os.Stdout, out.Trace, a, *gantt); err != nil {
-			fatal(err)
-		}
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := trace.WriteChrome(f, out.Trace, a); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s (open in chrome://tracing)\n", *traceOut)
-	}
+	obs.export(res.Program, res, opt.Name(), &out.Stats)
 }
 
 // runTenants co-schedules a multi-tenant serving scenario over the
@@ -220,7 +195,7 @@ func runTenants(a *arch.Arch, spec string, horizonUS float64, out string, opt co
 // the surviving cores. Metrics observe the first attempt: a completed
 // run reports it whole; a failed one reports the partial execution up
 // to the failure.
-func runFaulted(g *graph.Graph, a *arch.Arch, opt core.Options, res *core.Result, plan *fault.Plan, watchdog float64, mo metricsOpts) {
+func runFaulted(g *graph.Graph, a *arch.Arch, opt core.Options, res *core.Result, plan *fault.Plan, watchdog float64, obs observeOpts) {
 	clock := a.ClockMHz
 	printRetries := func(per []sim.CoreStats) {
 		total := 0
@@ -237,21 +212,14 @@ func runFaulted(g *graph.Graph, a *arch.Arch, opt core.Options, res *core.Result
 				c.Stratum, c.DetectedAtCycle, c.Transfers)
 		}
 	}
-	emit := func(st *sim.Stats) {
-		if !mo.wanted() {
-			return
-		}
-		rep := buildReport(a, res.Program, st, mo.col)
-		rep.AttachCompile(res)
-		rep.Model = g.Name
-		rep.Config = opt.Name()
-		emitMetrics(rep, mo)
-	}
+	emit := func(st *sim.Stats) { obs.emitMetrics(res.Program, res, opt.Name(), st) }
 
-	col := mo.collector()
-	rec, err := recovery.Run(g, a, res.Program, recovery.Options{
+	// A faulted run exports metrics only: the collector observes just
+	// the first attempt, so it holds no trace of the recovered run.
+	obs.traceOut, obs.gantt = "", 0
+	rec, err := recovery.Run(res, recovery.Options{
 		Opt: opt,
-		Sim: sim.Config{Faults: plan, WatchdogCycles: watchdog, Hook: col.hook()},
+		Sim: sim.Config{Faults: plan, WatchdogCycles: watchdog, Hook: obs.hook()},
 	})
 	if err != nil {
 		if l, ok := sim.LossOf(err); ok {
@@ -297,8 +265,9 @@ func runFaulted(g *graph.Graph, a *arch.Arch, opt core.Options, res *core.Result
 
 // simulateFile replays a precompiled program artifact. Compile-side
 // metrics (strata, pass timings) are unavailable here — the report
-// covers the run only.
-func simulateFile(path, traceOut string, gantt int, mo metricsOpts) {
+// covers the run only. It is the one npusim path that runs sim.Run
+// directly: a loaded program has no core.Result.
+func simulateFile(path string, obs observeOpts) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
@@ -308,83 +277,82 @@ func simulateFile(path, traceOut string, gantt int, mo metricsOpts) {
 	if err != nil {
 		fatal(err)
 	}
-	col := mo.collector()
-	out, err := sim.Run(p, sim.Config{CollectTrace: traceOut != "" || gantt > 0, Hook: col.hook()})
+	out, err := sim.Run(p, sim.Config{Hook: obs.hook()})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("%s on %s: %.1f us end-to-end (replayed from %s)\n",
 		p.Graph.Name, p.Arch.Name, out.Stats.LatencyMicros(p.Arch.ClockMHz), path)
-	if mo.wanted() {
-		rep := buildReport(p.Arch, p, &out.Stats, mo.col)
-		rep.Model = p.Graph.Name
-		emitMetrics(rep, mo)
+	obs.export(p, nil, "", &out.Stats)
+}
+
+// observeOpts carries the flags that observe a run (-metrics,
+// -metrics-out, -trace, -gantt) plus the collector recording it: nil
+// until hook finds an output that needs it, which keeps the engine's
+// nil-hook fast path.
+type observeOpts struct {
+	print    bool
+	out      string
+	traceOut string
+	gantt    int
+	col      *metrics.Collector
+}
+
+func (o *observeOpts) wantMetrics() bool { return o.print || o.out != "" }
+
+// hook returns the sim.Hook to install: the collector when metrics or
+// a trace are wanted, else a nil interface.
+func (o *observeOpts) hook() sim.Hook {
+	if !o.wantMetrics() && o.traceOut == "" && o.gantt <= 0 {
+		return nil
 	}
-	if gantt > 0 {
-		if err := trace.Gantt(os.Stdout, out.Trace, p.Arch, gantt); err != nil {
+	if o.col == nil {
+		o.col = &metrics.Collector{}
+	}
+	return o.col
+}
+
+// export writes everything the flags ask for of one observed
+// whole-platform run of p: the metrics report, the text Gantt chart and
+// the Chrome trace. res, when non-nil, adds the compile-side metrics.
+func (o *observeOpts) export(p *plan.Program, res *core.Result, config string, st *sim.Stats) {
+	o.emitMetrics(p, res, config, st)
+	if o.gantt > 0 {
+		if err := trace.Gantt(os.Stdout, o.col.Events, p.Arch, o.gantt); err != nil {
 			fatal(err)
 		}
 	}
-	if traceOut != "" {
-		tf, err := os.Create(traceOut)
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			fatal(err)
 		}
-		defer tf.Close()
-		if err := trace.WriteChrome(tf, out.Trace, p.Arch); err != nil {
+		defer f.Close()
+		if err := trace.WriteChrome(f, o.col.Events, p.Arch); err != nil {
 			fatal(err)
 		}
+		fmt.Printf("trace written to %s (open in chrome://tracing)\n", o.traceOut)
 	}
 }
 
-// metricsOpts carries the -metrics/-metrics-out request plus the
-// collector observing the run (nil when metrics are off, which keeps
-// the engine's nil-hook fast path).
-type metricsOpts struct {
-	print bool
-	out   string
-	col   *metrics.Collector
-}
-
-func (mo metricsOpts) wanted() bool { return mo.print || mo.out != "" }
-
-// collector lazily allocates the hook and returns the opts themselves
-// so call sites can thread one value through.
-func (mo *metricsOpts) collector() *metricsOpts {
-	if mo.wanted() && mo.col == nil {
-		mo.col = &metrics.Collector{}
+// emitMetrics prints and/or writes the metrics report per the flags.
+func (o *observeOpts) emitMetrics(p *plan.Program, res *core.Result, config string, st *sim.Stats) {
+	if !o.wantMetrics() {
+		return
 	}
-	return mo
-}
-
-// hook returns the sim.Hook to install: a typed nil interface when
-// metrics are off.
-func (mo *metricsOpts) hook() sim.Hook {
-	if mo.col == nil {
-		return nil
+	rep := metrics.BuildReport(p.Arch, sim.Whole(p), st, o.col)
+	if res != nil {
+		rep.AttachCompile(res)
 	}
-	return mo.col
-}
-
-// buildReport assembles the metrics report for a whole-platform run of
-// one program (the placement Run uses).
-func buildReport(a *arch.Arch, p *plan.Program, st *sim.Stats, col *metrics.Collector) *metrics.Report {
-	cores := make([]int, a.NumCores())
-	for i := range cores {
-		cores[i] = i
-	}
-	return metrics.BuildReport(a, []sim.Placement{{Program: p, Cores: cores}}, st, col)
-}
-
-// emitMetrics prints and/or writes the report per the flags.
-func emitMetrics(rep *metrics.Report, mo metricsOpts) {
-	if mo.print {
+	rep.Model = p.Graph.Name
+	rep.Config = config
+	if o.print {
 		if err := report.Utilization(os.Stdout, rep); err != nil {
 			fatal(err)
 		}
 	}
-	if mo.out != "" {
-		f, err := os.Create(mo.out)
+	if o.out != "" {
+		f, err := os.Create(o.out)
 		if err != nil {
 			fatal(err)
 		}
@@ -394,7 +362,7 @@ func emitMetrics(rep *metrics.Report, mo metricsOpts) {
 		if err := enc.Encode(rep); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("metrics written to %s\n", mo.out)
+		fmt.Printf("metrics written to %s\n", o.out)
 	}
 }
 

@@ -186,13 +186,14 @@ func admit(ctx context.Context, res *Result) error {
 }
 
 // Simulate runs the compiled program under cfg. A run with no active
-// fault plan, no CollectTrace and no Hook cannot differ from the
-// admission run, so Simulate returns a private copy of that run
-// instead of simulating again; any other cfg, a Result without an
-// admission run, and a cfg.Ctx that is already done go to sim.Run, so
-// a canceled context yields sim.Run's own cancellation error.
+// fault plan and no Hook cannot differ from the admission run, so
+// Simulate returns a private copy of that run instead of simulating
+// again; a non-empty fault plan, a Hook (a trace is a Recorder hook),
+// a Result without an admission run, and a cfg.Ctx that is already
+// done go to sim.Run, so a canceled context yields sim.Run's own
+// cancellation error.
 func (r *Result) Simulate(cfg sim.Config) (*sim.Result, error) {
-	if r.clean == nil || !cfg.Faults.Empty() || cfg.CollectTrace || cfg.Hook != nil ||
+	if r.clean == nil || !cfg.Faults.Empty() || cfg.Hook != nil ||
 		(cfg.Ctx != nil && cfg.Ctx.Err() != nil) {
 		return sim.Run(r.Program, cfg)
 	}

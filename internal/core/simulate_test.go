@@ -46,11 +46,12 @@ func TestSimulateReusesAdmissionRun(t *testing.T) {
 // countingHook counts retired instructions.
 type countingHook struct{ instrs int }
 
-func (h *countingHook) OnInstr(sim.InstrSample) { h.instrs++ }
-func (h *countingHook) OnBus(sim.BusSample)     {}
+func (h *countingHook) OnInstr(sim.Event)   { h.instrs++ }
+func (h *countingHook) OnBus(sim.BusSample) {}
 
-// TestSimulateRunsWhenConfigMatters: an active fault plan, a trace or
-// a hook can change what the run reports, so Simulate simulates.
+// TestSimulateRunsWhenConfigMatters: an active fault plan or a hook (a
+// trace recorder included) can change what the run reports, so
+// Simulate simulates.
 func TestSimulateRunsWhenConfigMatters(t *testing.T) {
 	res, err := Compile(models.TinyCNN(), arch.Exynos2100Like(), Stratum())
 	if err != nil {
@@ -76,12 +77,12 @@ func TestSimulateRunsWhenConfigMatters(t *testing.T) {
 			got.Stats.TotalCycles, want.Stats.TotalCycles, clean.Stats.TotalCycles)
 	}
 
-	traced, err := res.Simulate(sim.Config{CollectTrace: true})
-	if err != nil {
+	rec := &sim.Recorder{}
+	if _, err := res.Simulate(sim.Config{Hook: rec}); err != nil {
 		t.Fatal(err)
 	}
-	if len(traced.Trace) != res.Program.NumInstrs() {
-		t.Errorf("traced Simulate recorded %d events, want %d", len(traced.Trace), res.Program.NumInstrs())
+	if len(rec.Events) != res.Program.NumInstrs() {
+		t.Errorf("traced Simulate recorded %d events, want %d", len(rec.Events), res.Program.NumInstrs())
 	}
 
 	hook := &countingHook{}

@@ -256,7 +256,7 @@ func Explore(ctx context.Context, g *graph.Graph, a *arch.Arch, base core.Option
 		return nil, fmt.Errorf("dse: winner recompile: %w", err)
 	}
 	res.BestFallback = wres.Fallback.String()
-	ev, err := sim.Run(wres.Program, sim.Config{Ctx: ctx})
+	ev, err := wres.Simulate(sim.Config{Ctx: ctx})
 	if err != nil {
 		return nil, fmt.Errorf("dse: winner event sim: %w", err)
 	}

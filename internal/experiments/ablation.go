@@ -36,7 +36,7 @@ func SyncCostSweep(model string) ([]AblationPoint, error) {
 		a := arch.Exynos2100Like()
 		a.SyncBaseCycles = a.MicrosToCycles(syncUS)
 		a.SyncJitterCycles = a.SyncBaseCycles
-		_, out, err := runOne(g, a, opt, false)
+		_, out, err := runOne(g, a, opt)
 		if err != nil {
 			return AblationPoint{}, fmt.Errorf("sync sweep %gus %s: %w", syncUS, opt.Name(), err)
 		}
@@ -62,7 +62,7 @@ func BusSweep(model string) ([]AblationPoint, error) {
 		bus, opt := buses[i/len(opts)], opts[i%len(opts)]
 		a := arch.Exynos2100Like()
 		a.BusBytesPerCycle = bus
-		_, out, err := runOne(g, a, opt, false)
+		_, out, err := runOne(g, a, opt)
 		if err != nil {
 			return AblationPoint{}, fmt.Errorf("bus sweep %g %s: %w", bus, opt.Name(), err)
 		}
@@ -97,7 +97,7 @@ func SPMSweep(model string) ([]SPMSweepRow, error) {
 		for c := range a.Cores {
 			a.Cores[c].SPMBytes = kb << 10
 		}
-		res, out, err := runOne(g, a, core.Stratum(), false)
+		res, out, err := runOne(g, a, core.Stratum())
 		if err != nil {
 			return SPMSweepRow{}, fmt.Errorf("spm sweep %dKB: %w", kb, err)
 		}
@@ -127,7 +127,7 @@ func CoreScaling(model string, maxCores int) ([]AblationPoint, error) {
 	return parallel.Map(maxCores, func(i int) (AblationPoint, error) {
 		n := i + 1
 		a := arch.Homogeneous(n)
-		_, out, err := runOne(g, a, core.Stratum(), false)
+		_, out, err := runOne(g, a, core.Stratum())
 		if err != nil {
 			return AblationPoint{}, fmt.Errorf("core scaling %d: %w", n, err)
 		}
@@ -156,7 +156,7 @@ func EnergySweep() ([]EnergyRow, error) {
 	opts := []core.Options{core.Base(), core.Halo(), core.Stratum()}
 	return parallel.Map(len(ms)*len(opts), func(i int) (EnergyRow, error) {
 		m, opt := ms[i/len(opts)], opts[i%len(opts)]
-		_, out, err := runOne(m.Build(), a, opt, false)
+		_, out, err := runOne(m.Build(), a, opt)
 		if err != nil {
 			return EnergyRow{}, fmt.Errorf("energy %s %s: %w", m.Name, opt.Name(), err)
 		}
@@ -194,7 +194,7 @@ func InterconnectSweep() ([]InterconnectRow, error) {
 			a := arch.Exynos2100Like()
 			a.BusBytesPerCycle = bus
 			a.DirectHaloInterconnect = direct
-			_, out, err := runOne(g, a, core.Halo(), false)
+			_, out, err := runOne(g, a, core.Halo())
 			if err != nil {
 				return InterconnectRow{}, fmt.Errorf("interconnect %s bus%g: %w", name, bus, err)
 			}
@@ -240,7 +240,7 @@ func PipelineSweep() ([]PipelineRow, error) {
 		for _, serial := range []bool{false, true} {
 			opt := core.Stratum()
 			opt.NoDoubleBuffer = serial
-			_, out, err := runOne(g, a, opt, false)
+			_, out, err := runOne(g, a, opt)
 			if err != nil {
 				return PipelineRow{}, fmt.Errorf("pipeline %s: %w", name, err)
 			}
@@ -282,7 +282,7 @@ func ThroughputSweep(model string, batch int) ([]ThroughputRow, error) {
 	opts := []core.Options{core.Base(), core.Halo(), core.Stratum()}
 	return parallel.Map(len(opts), func(i int) (ThroughputRow, error) {
 		opt := opts[i]
-		res, out, err := runOne(g, a, opt, false)
+		res, out, err := runOne(g, a, opt)
 		if err != nil {
 			return ThroughputRow{}, fmt.Errorf("throughput %s: %w", opt.Name(), err)
 		}
@@ -338,7 +338,7 @@ func SchedulingSweep() ([]SchedulingRow, error) {
 		} {
 			opt := core.Stratum()
 			opt.Scheduling = pt.s
-			_, out, err := runOne(g, a, opt, false)
+			_, out, err := runOne(g, a, opt)
 			if err != nil {
 				return SchedulingRow{}, fmt.Errorf("scheduling %s %v: %w", name, pt.s, err)
 			}
@@ -404,7 +404,7 @@ func Concurrent() ([]ConcurrentRow, error) {
 
 		var seq float64
 		for _, g := range []string{pair[0], pair[1]} {
-			_, out, err := runOne(models.ByNameMust(g), a, core.Stratum(), false)
+			_, out, err := runOne(models.ByNameMust(g), a, core.Stratum())
 			if err != nil {
 				return ConcurrentRow{}, err
 			}

@@ -29,12 +29,12 @@ import (
 // Compilation goes through the compile-result cache, so sweeps that
 // revisit a configuration (the Base point appears in Figure 11,
 // Table 4, and the energy ablation alike) compile it once.
-func runOne(g *graph.Graph, a *arch.Arch, opt core.Options, trace bool) (*core.Result, *sim.Result, error) {
+func runOne(g *graph.Graph, a *arch.Arch, opt core.Options) (*core.Result, *sim.Result, error) {
 	res, err := core.CompileCached(g, a, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := res.Simulate(sim.Config{CollectTrace: trace})
+	out, err := res.Simulate(sim.Config{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -74,7 +74,7 @@ func Fig11() ([]Fig11Row, error) {
 	lats, err := parallel.Map(len(ms)*len(points), func(i int) (float64, error) {
 		m := ms[i/len(points)]
 		pt := points[i%len(points)]
-		_, out, err := runOne(m.Build(), pt.a, pt.opt, false)
+		_, out, err := runOne(m.Build(), pt.a, pt.opt)
 		if err != nil {
 			return 0, fmt.Errorf("fig11 %s: %w", m.Name, err)
 		}
@@ -214,7 +214,7 @@ func Table4() ([]Table4Row, error) {
 		sch := schemes[i]
 		opt := core.Base()
 		opt.Partitioning = sch.mode
-		res, out, err := runOne(g, a, opt, false)
+		res, out, err := runOne(g, a, opt)
 		if err != nil {
 			return Table4Row{}, fmt.Errorf("table4 %s: %w", sch.name, err)
 		}
@@ -285,7 +285,7 @@ func Table5() ([]Table5Row, error) {
 	}
 	return parallel.Map(len(configs), func(i int) (Table5Row, error) {
 		cfg := configs[i]
-		_, out, err := runOne(g, a, cfg.opt, false)
+		_, out, err := runOne(g, a, cfg.opt)
 		if err != nil {
 			return Table5Row{}, fmt.Errorf("table5 %s: %w", cfg.name, err)
 		}

@@ -22,7 +22,7 @@ func faultLatency(g *graph.Graph, a *arch.Arch, opt core.Options, p *fault.Plan)
 	if err != nil {
 		return 0, err
 	}
-	rec, err := recovery.Run(g, a, res.Program, recovery.Options{Opt: opt, Sim: sim.Config{Faults: p}})
+	rec, err := recovery.Run(res, recovery.Options{Opt: opt, Sim: sim.Config{Faults: p}})
 	if err != nil {
 		return 0, err
 	}
@@ -83,7 +83,7 @@ func DeathSweep(g *graph.Graph) ([]DeathRow, error) {
 			return DeathRow{}, err
 		}
 		plan := &fault.Plan{Deaths: []fault.Death{{Core: 1, AtCycle: 0.5 * clean.Stats.TotalCycles}}}
-		rec, err := recovery.Run(g, a, res.Program, recovery.Options{Opt: opt, Sim: sim.Config{Faults: plan}})
+		rec, err := recovery.Run(res, recovery.Options{Opt: opt, Sim: sim.Config{Faults: plan}})
 		if err != nil {
 			return DeathRow{}, fmt.Errorf("death sweep %s: %w", opt.Name(), err)
 		}

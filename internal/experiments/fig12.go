@@ -60,17 +60,22 @@ func Fig12() ([]Fig12Variant, error) {
 	keep := map[graph.LayerID]bool{conv1.ID: true, conv2.ID: true, relu1.ID: true}
 
 	err := parallel.ForEach(len(variants), func(i int) error {
-		res, out, err := runOne(g, a, variants[i].Opt, true)
+		res, err := core.CompileCached(g, a, variants[i].Opt)
+		if err != nil {
+			return fmt.Errorf("fig12 %s: %w", variants[i].Name, err)
+		}
+		rec := &sim.Recorder{}
+		out, err := res.Simulate(sim.Config{Hook: rec})
 		if err != nil {
 			return fmt.Errorf("fig12 %s: %w", variants[i].Name, err)
 		}
 		variants[i].LatencyUS = out.Stats.LatencyMicros(a.ClockMHz)
-		for _, ev := range out.Trace {
+		for _, ev := range rec.Events {
 			if keep[ev.Layer] {
 				variants[i].Trace = append(variants[i].Trace, ev)
 			}
 		}
-		variants[i].ExposedIdleUS = exposedIdle(out.Trace, res.Program, conv2.ID, a)
+		variants[i].ExposedIdleUS = exposedIdle(rec.Events, res.Program, conv2.ID, a)
 		return nil
 	})
 	if err != nil {

@@ -37,15 +37,11 @@ func Utilization(opt core.Options) ([]UtilizationRow, error) {
 			return UtilizationRow{}, fmt.Errorf("utilization %s: %w", m.Name, err)
 		}
 		col := &metrics.Collector{}
-		out, err := sim.Run(res.Program, sim.Config{Hook: col})
+		out, err := res.Simulate(sim.Config{Hook: col})
 		if err != nil {
 			return UtilizationRow{}, fmt.Errorf("utilization %s: %w", m.Name, err)
 		}
-		cores := make([]int, a.NumCores())
-		for c := range cores {
-			cores[c] = c
-		}
-		rep := metrics.BuildReport(a, []sim.Placement{{Program: res.Program, Cores: cores}}, &out.Stats, col)
+		rep := metrics.BuildReport(a, sim.Whole(res.Program), &out.Stats, col)
 		rep.AttachCompile(res)
 		rep.Model = m.Name
 		rep.Config = opt.Name()

@@ -99,7 +99,7 @@ func Resilience(seed uint64) (*ResilienceBench, error) {
 			Faults:         &fault.Plan{Seed: seed, Hangs: []fault.Hang{{Core: 1, AtCycle: injectAt}}},
 			WatchdogCycles: heartbeat,
 		}
-		rec, err := recovery.Run(g, a, res.Program, recovery.Options{Opt: opt, Sim: cfg})
+		rec, err := recovery.Run(res, recovery.Options{Opt: opt, Sim: cfg})
 		if err != nil {
 			return HangRow{}, fmt.Errorf("resilience %s H=%g: recovery: %w", m.Name, frac, err)
 		}
@@ -139,7 +139,7 @@ func Resilience(seed uint64) (*ResilienceBench, error) {
 			return FlipRow{}, fmt.Errorf("resilience %s clean: %w", m.Name, err)
 		}
 		cfg := sim.Config{Faults: &fault.Plan{Seed: seed, FlipRate: resilienceFlipRate}}
-		outE, err := sim.Run(res.Program, cfg)
+		outE, err := res.Simulate(cfg)
 		if err != nil {
 			return FlipRow{}, fmt.Errorf("resilience %s flips: %w", m.Name, err)
 		}

@@ -203,7 +203,7 @@ func TestSPMReportOnCoreFailure(t *testing.T) {
 		}
 	}
 	finished := 0
-	for _, s := range col.Instrs {
+	for _, s := range col.Events {
 		if s.Core != dead {
 			continue
 		}

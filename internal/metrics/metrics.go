@@ -22,24 +22,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Collector is the canonical sim.Hook implementation: it records every
-// sample in arrival order. Both slices hold plain values, so a
-// Collector can outlive the run that fed it. Zero value is ready to
-// use; Reset reuses the backing arrays across runs.
+// Collector is the report-building sim.Hook: a sim.Recorder whose
+// Events (the run's trace) BuildReport attributes, plus the bus
+// allocation series. Both slices hold plain values, so a Collector can
+// outlive the run that fed it. Zero value is ready to use; Reset
+// reuses the backing arrays across runs.
 type Collector struct {
-	Instrs []sim.InstrSample
-	Bus    []sim.BusSample
+	sim.Recorder
+	Bus []sim.BusSample
 }
-
-// OnInstr implements sim.Hook.
-func (c *Collector) OnInstr(s sim.InstrSample) { c.Instrs = append(c.Instrs, s) }
 
 // OnBus implements sim.Hook.
 func (c *Collector) OnBus(s sim.BusSample) { c.Bus = append(c.Bus, s) }
 
 // Reset clears the collector for reuse, keeping capacity.
 func (c *Collector) Reset() {
-	c.Instrs = c.Instrs[:0]
+	c.Recorder.Reset()
 	c.Bus = c.Bus[:0]
 }
 
@@ -175,7 +173,7 @@ type SPMReport struct {
 }
 
 // Report is the structured outcome of one observed run. It marshals
-// directly to JSON (npusim -metrics-out, npubench -metrics).
+// directly to JSON (npusim -metrics-out, npubench -experiment metrics).
 type Report struct {
 	Model         string `json:",omitempty"`
 	Config        string `json:",omitempty"`
@@ -202,7 +200,7 @@ const (
 	numClasses
 )
 
-func classOf(s *sim.InstrSample) int {
+func classOf(s *sim.Event) int {
 	switch s.Op {
 	case plan.Compute:
 		return clsCompute
@@ -253,8 +251,8 @@ func coreReports(a *arch.Arch, stats *sim.Stats, col *Collector) []CoreReport {
 		out[c].Core = c
 		out[c].TotalCycles = total
 	}
-	for i := range col.Instrs {
-		s := &col.Instrs[i]
+	for i := range col.Events {
+		s := &col.Events[i]
 		c := s.Core
 		st := &out[c]
 		// Raw sums, accumulated in sample order — the engine retires
@@ -328,8 +326,8 @@ func layerReports(placements []sim.Placement, col *Collector) []LayerReport {
 		layer     int
 	}
 	agg := map[key]*LayerReport{}
-	for i := range col.Instrs {
-		s := &col.Instrs[i]
+	for i := range col.Events {
+		s := &col.Events[i]
 		k := key{s.Placement, int(s.Layer)}
 		lr := agg[k]
 		if lr == nil {

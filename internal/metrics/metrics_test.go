@@ -24,11 +24,11 @@ import (
 // idle 5.
 func TestExclusiveAttributionHandComputed(t *testing.T) {
 	a := arch.Homogeneous(1)
-	col := &Collector{Instrs: []sim.InstrSample{
+	col := &Collector{Recorder: sim.Recorder{Events: []sim.Event{
 		{Core: 0, Op: plan.Compute, Start: 0, End: 10, MACs: 100},
 		{Core: 0, Op: plan.LoadInput, Start: 5, End: 20, Bytes: 64},
 		{Core: 0, Op: plan.Barrier, Start: 18, End: 25},
-	}}
+	}}}
 	stats := &sim.Stats{TotalCycles: 30, PerCore: make([]sim.CoreStats, 1)}
 	rep := BuildReport(a, nil, stats, col)
 	got := rep.Cores[0].Exclusive
@@ -53,11 +53,11 @@ func TestExclusiveAttributionHandComputed(t *testing.T) {
 // TestExclusiveHaloPriority pins halo above load and below compute.
 func TestExclusiveHaloPriority(t *testing.T) {
 	a := arch.Homogeneous(1)
-	col := &Collector{Instrs: []sim.InstrSample{
+	col := &Collector{Recorder: sim.Recorder{Events: []sim.Event{
 		{Core: 0, Op: plan.Compute, Start: 0, End: 4},
 		{Core: 0, Op: plan.LoadHalo, Start: 2, End: 8, Bytes: 8},
 		{Core: 0, Op: plan.LoadInput, Start: 2, End: 10, Bytes: 8},
-	}}
+	}}}
 	stats := &sim.Stats{TotalCycles: 10, PerCore: make([]sim.CoreStats, 1)}
 	rep := BuildReport(a, nil, stats, col)
 	got := rep.Cores[0].Exclusive
@@ -243,13 +243,13 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // TestCollectorReset keeps capacity, drops samples.
 func TestCollectorReset(t *testing.T) {
 	c := &Collector{}
-	c.OnInstr(sim.InstrSample{Core: 1})
+	c.OnInstr(sim.Event{Core: 1})
 	c.OnBus(sim.BusSample{At: 2})
 	c.Reset()
-	if len(c.Instrs) != 0 || len(c.Bus) != 0 {
-		t.Fatalf("reset left %d/%d samples", len(c.Instrs), len(c.Bus))
+	if len(c.Events) != 0 || len(c.Bus) != 0 {
+		t.Fatalf("reset left %d/%d samples", len(c.Events), len(c.Bus))
 	}
-	if cap(c.Instrs) == 0 || cap(c.Bus) == 0 {
+	if cap(c.Events) == 0 || cap(c.Bus) == 0 {
 		t.Fatal("reset dropped capacity")
 	}
 }

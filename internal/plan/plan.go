@@ -30,6 +30,8 @@ const (
 	EngineCompute               // the MAC array
 	EngineStore                 // DMA SPM -> global memory
 	EngineSync                  // barrier rendezvous
+
+	numEngines = int(EngineSync) + 1
 )
 
 // String returns the engine name.
@@ -198,7 +200,10 @@ func (p *Program) Validate() error {
 	if ncores != p.Arch.NumCores() {
 		return fmt.Errorf("plan: %d streams for %d cores", ncores, p.Arch.NumCores())
 	}
-	barrierCount := make(map[int][]int) // id -> per-core occurrence count
+	// rendezvous numbers the barrier IDs in first-seen order; arrivals
+	// counts each one's copies per core, flat by rendezvous then core.
+	rendezvous := make(map[int]int32)
+	var arrivals []int32
 	for c, stream := range p.Cores {
 		for i, in := range stream {
 			for _, d := range in.Deps {
@@ -210,10 +215,13 @@ func (p *Program) Validate() error {
 				if in.BarrierID < 0 || in.BarrierID >= p.NumBarriers {
 					return fmt.Errorf("plan: core %d instr %d: barrier id %d out of range", c, i, in.BarrierID)
 				}
-				if barrierCount[in.BarrierID] == nil {
-					barrierCount[in.BarrierID] = make([]int, ncores)
+				r, ok := rendezvous[in.BarrierID]
+				if !ok {
+					r = int32(len(rendezvous))
+					rendezvous[in.BarrierID] = r
+					arrivals = append(arrivals, make([]int32, ncores)...)
 				}
-				barrierCount[in.BarrierID][c]++
+				arrivals[int(r)*ncores+c]++
 			} else if in.BarrierID != -1 && in.BarrierID != 0 {
 				return fmt.Errorf("plan: core %d instr %d: non-barrier with barrier id %d", c, i, in.BarrierID)
 			}
@@ -229,88 +237,102 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
-	for id, counts := range barrierCount {
-		for c, n := range counts {
+	for id, r := range rendezvous {
+		for c, n := range arrivals[int(r)*ncores : int(r+1)*ncores] {
 			if n != 1 {
 				return fmt.Errorf("plan: barrier %d appears %d times on core %d", id, n, c)
 			}
 		}
 	}
-	return p.checkAcyclic()
+	return p.checkAcyclic(rendezvous)
 }
 
 // checkAcyclic runs Kahn's algorithm over dependency edges plus
 // per-engine program order. All Barrier instructions sharing an ID are
-// one rendezvous node: none releases until every core's copy has
-// arrived, so an edge into any copy gates them all and an edge out of
-// any copy waits on all of them.
-func (p *Program) checkAcyclic() error {
+// one rendezvous node (rendezvous numbers them): none releases until
+// every core's copy has arrived, so an edge into any copy gates them
+// all and an edge out of any copy waits on all of them.
+//
+// The graph is built in two passes over the same edge walk into flat
+// CSR arrays (compressed sparse row: out-edges of node v are
+// edges[off[v]:off[v+1]]): the first pass counts out-degrees, the
+// second fills the edges, so building it allocates a fixed handful of
+// slices whatever the program's size.
+func (p *Program) checkAcyclic(rendezvous map[int]int32) error {
 	// Global node numbering: one node per instruction, then one per
-	// barrier ID in first-seen order. A Barrier's own instruction node
-	// stays isolated.
+	// rendezvous. nodeOf maps each instruction to its node, which for a
+	// Barrier is its rendezvous; a Barrier's own node stays isolated.
 	base := make([]int, len(p.Cores)+1)
 	for c := range p.Cores {
 		base[c+1] = base[c] + len(p.Cores[c])
 	}
 	n := base[len(p.Cores)]
-	rendezvous := make(map[int]int)
-	for _, stream := range p.Cores {
-		for _, in := range stream {
-			if _, ok := rendezvous[in.BarrierID]; in.Op == Barrier && !ok {
-				rendezvous[in.BarrierID] = n + len(rendezvous)
+	nodes := n + len(rendezvous)
+	nodeOf := make([]int32, n)
+	for c, stream := range p.Cores {
+		for i := range stream {
+			nodeOf[base[c]+i] = int32(base[c] + i)
+			if stream[i].Op == Barrier {
+				nodeOf[base[c]+i] = int32(n) + rendezvous[stream[i].BarrierID]
 			}
 		}
-	}
-	nodes := n + len(rendezvous)
-	adj := make([][]int32, nodes)
-	indeg := make([]int, nodes)
-	addEdge := func(from, to int) {
-		adj[from] = append(adj[from], int32(to))
-		indeg[to]++
-	}
-	node := func(r Ref) int {
-		if in := &p.Cores[r.Core][r.Index]; in.Op == Barrier {
-			return rendezvous[in.BarrierID]
-		}
-		return base[r.Core] + r.Index
 	}
 
-	// Per-engine program order and dependency edges.
-	for c, stream := range p.Cores {
-		last := map[Engine]int{}
-		for i, in := range stream {
-			e := in.Op.Engine()
-			if prev, ok := last[e]; ok {
-				addEdge(node(Ref{c, prev}), node(Ref{c, i}))
-			}
-			last[e] = i
-			for _, d := range in.Deps {
-				addEdge(node(d), node(Ref{c, i}))
+	// walk calls edge for every per-engine program-order edge and every
+	// dependency edge, in a fixed order.
+	walk := func(edge func(from, to int32)) {
+		for c, stream := range p.Cores {
+			var last [numEngines]int32
+			for i := range stream {
+				in := &stream[i]
+				e := in.Op.Engine()
+				to := nodeOf[base[c]+i]
+				if last[e] > 0 {
+					edge(nodeOf[base[c]+int(last[e])-1], to)
+				}
+				last[e] = int32(i + 1)
+				for _, d := range in.Deps {
+					edge(nodeOf[base[d.Core]+d.Index], to)
+				}
 			}
 		}
 	}
-	queue := make([]int, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+	off := make([]int32, nodes+1)
+	indeg := make([]int32, nodes)
+	walk(func(from, to int32) {
+		off[from+1]++
+		indeg[to]++
+	})
+	for v := 0; v < nodes; v++ {
+		off[v+1] += off[v]
+	}
+	edges := make([]int32, off[nodes])
+	cur := append([]int32(nil), off[:nodes]...)
+	walk(func(from, to int32) {
+		edges[cur[from]] = to
+		cur[from]++
+	})
+
+	queue := cur[:0] // cur is spent; reuse it as the Kahn stack
+	for v := 0; v < nodes; v++ {
+		if indeg[v] == 0 {
+			queue = append(queue, int32(v))
 		}
 	}
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, w := range adj[v] {
+		for _, w := range edges[off[v]:off[v+1]] {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, int(w))
+				queue = append(queue, w)
 			}
 		}
 	}
 	stuck := 0
-	for c, stream := range p.Cores {
-		for i := range stream {
-			if indeg[node(Ref{c, i})] > 0 {
-				stuck++
-			}
+	for _, v := range nodeOf {
+		if indeg[v] > 0 {
+			stuck++
 		}
 	}
 	if stuck > 0 {

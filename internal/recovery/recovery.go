@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
-	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 )
@@ -237,19 +236,23 @@ func StratumGraph(g *graph.Graph, layers []graph.LayerID) (*graph.Graph, map[gra
 	return sub, origin, nil
 }
 
-// Run simulates prog, compiled from g for all of a's cores, and when
-// the run loses cores to a survivable failure (sim.LossOf) recovers
-// the unexecuted suffix onto the survivors with RecoverFrom. opts.Sim
-// configures every attempt, except that its Hook observes only the
-// first one: a clean run whole, a failed run up to the failure.
+// Run simulates the compiled program res and, when the run loses
+// cores to a survivable failure (sim.LossOf), recovers the unexecuted
+// suffix onto the survivors with RecoverFrom. The graph and the
+// architecture are the program's own, so the suffix is recompiled for
+// exactly the machine the program occupied. The first attempt is
+// res.Simulate(opts.Sim), which reuses the compiler's admission run
+// when the config cannot change it. opts.Sim configures every attempt,
+// except that its Hook observes only the first one: a clean run whole,
+// a failed run up to the failure.
 //
 // A clean run returns a Result with Final and TotalCycles set and no
 // losses. An error that is not survivable is returned as is. When
 // recovery itself cannot finish, Run returns the original typed
 // failure, or the recovery's cancellation error if opts.Sim.Ctx ended
 // it.
-func Run(g *graph.Graph, a *arch.Arch, prog *plan.Program, opts Options) (*Result, error) {
-	out, err := sim.Run(prog, opts.Sim)
+func Run(res *core.Result, opts Options) (*Result, error) {
+	out, err := res.Simulate(opts.Sim)
 	if err == nil {
 		return &Result{Final: out, TotalCycles: out.Stats.TotalCycles}, nil
 	}
@@ -258,7 +261,7 @@ func Run(g *graph.Graph, a *arch.Arch, prog *plan.Program, opts Options) (*Resul
 	}
 	ropts := opts
 	ropts.Sim.Hook = nil
-	r, rerr := RecoverFrom(g, a, err, ropts)
+	r, rerr := RecoverFrom(res.Program.Graph, res.Program.Arch, err, ropts)
 	if rerr != nil {
 		if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
 			return nil, rerr

@@ -79,11 +79,12 @@ func TestRemapFromTraceCutBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sim.Run(res.Program, sim.Config{CollectTrace: true})
+	rec := &sim.Recorder{}
+	out, err := res.Simulate(sim.Config{Hook: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed := sim.CutAtCycle(res.Program, []int{0, 1, 2}, out.Trace, 0.6*out.Stats.TotalCycles)
+	completed := sim.CutAtCycle(res.Program, []int{0, 1, 2}, rec.Events, 0.6*out.Stats.TotalCycles)
 	if len(completed) == 0 {
 		t.Fatal("mid-run cut left no checkpoint")
 	}

@@ -122,7 +122,7 @@ func TestRunTable(t *testing.T) {
 				}
 			}
 			opts := recovery.Options{Opt: opt, Sim: sim.Config{Faults: p, WatchdogCycles: tc.watchdog}}
-			got, err := recovery.Run(g, a, res.Program, opts)
+			got, err := recovery.Run(res, opts)
 			wantStats, wantDead, wantCorrupt, wantErr := handRolled(g, a, res.Program, opts)
 			rep, npuErr := npu.RunWithFaultsWatched(g, a, opt, p, tc.watchdog)
 			code, rr, er := postRun(t, ts, serve.RunRequest{
@@ -261,7 +261,7 @@ func TestRunCanceled(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := recovery.Options{Opt: opt, Sim: sim.Config{Ctx: tc.ctx(), Faults: p}}
-			got, err := recovery.Run(g, a, res.Program, opts)
+			got, err := recovery.Run(res, opts)
 			if got != nil || !errors.Is(err, context.Canceled) {
 				t.Fatalf("Run = %v, %v; want context.Canceled", got, err)
 			}

@@ -105,16 +105,16 @@ func TestProgramRoundTripSimulatesIdentically(t *testing.T) {
 			prev = in.Deps
 		}
 	}
-	cfg := sim.Config{CollectTrace: true}
-	out1, err := sim.Run(res.Program, cfg)
+	rec1, rec2 := &sim.Recorder{}, &sim.Recorder{}
+	out1, err := sim.Run(res.Program, sim.Config{Hook: rec1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := sim.Run(p2, cfg)
+	out2, err := sim.Run(p2, sim.Config{Hook: rec2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out1, out2) {
+	if !reflect.DeepEqual(out1, out2) || !reflect.DeepEqual(rec1.Events, rec2.Events) {
 		t.Errorf("simulation changed after round trip: %.0f vs %.0f cycles",
 			out1.Stats.TotalCycles, out2.Stats.TotalCycles)
 	}

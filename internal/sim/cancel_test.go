@@ -83,18 +83,19 @@ func TestCancelDeadline(t *testing.T) {
 func TestCancelBitIdentity(t *testing.T) {
 	p := cancelProgram(t)
 	for _, e := range cancelEngines {
-		plain, err := e.run(p, Config{CollectTrace: true})
+		plainRec, ctxedRec := &Recorder{}, &Recorder{}
+		plain, err := e.run(p, Config{Hook: plainRec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctxed, err := e.run(p, Config{CollectTrace: true, Ctx: context.Background()})
+		ctxed, err := e.run(p, Config{Hook: ctxedRec, Ctx: context.Background()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain.Stats, ctxed.Stats) {
 			t.Errorf("%s: stats differ with a live context", e.name)
 		}
-		if !reflect.DeepEqual(plain.Trace, ctxed.Trace) {
+		if !reflect.DeepEqual(plainRec.Events, ctxedRec.Events) {
 			t.Errorf("%s: trace differs with a live context", e.name)
 		}
 	}

@@ -5,14 +5,15 @@ import (
 	"repro/internal/plan"
 )
 
-// CutAtCycle computes a recovery checkpoint post-hoc from a collected
-// trace: the longest safe prefix (same cut rule as CoreFailure.Completed
+// CutAtCycle computes a recovery checkpoint post-hoc from a recorded
+// trace (a Recorder's Events): the longest safe prefix (same cut rule as CoreFailure.Completed
 // — every prefix layer finished all its instructions by the cut, and
 // every prefix output consumed outside the prefix was stored to global
 // memory) considering only events on the given global cores with
 // End <= cut. This is how a scheduler preempts a running placement at a
-// stratum boundary without engine support: simulate with CollectTrace,
-// pick the cut cycle, and resume the suffix from the returned layers.
+// stratum boundary without engine support: simulate with a Recorder
+// as Config.Hook, pick the cut cycle, and resume the suffix from the
+// returned layers.
 //
 // cores must be the placement's global core set (the cores its trace
 // events carry); p is that placement's program. The returned layer IDs

@@ -34,7 +34,7 @@ func TestCutAtCycleMatchesKillCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Run(res.Program, Config{CollectTrace: true})
+	clean, trace, err := runTraced(res.Program, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCutAtCycleMatchesKillCheckpoint(t *testing.T) {
 		if !errors.As(err, &cf) {
 			t.Fatalf("cut %.2f: expected *CoreFailure, got %v", frac, err)
 		}
-		got := CutAtCycle(res.Program, allCores, clean.Trace, cut)
+		got := CutAtCycle(res.Program, allCores, trace, cut)
 		if !reflect.DeepEqual(got, cf.Completed) {
 			t.Errorf("cut %.2f: CutAtCycle = %v, kill checkpoint = %v", frac, got, cf.Completed)
 		}
@@ -62,24 +62,24 @@ func TestCutAtCycleBoundsAndMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(res.Program, Config{CollectTrace: true})
+	out, trace, err := runTraced(res.Program, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	allCores := []int{0, 1, 2}
 	order := strataOrder(res.Program.Strata)
 
-	if got := CutAtCycle(res.Program, allCores, out.Trace, 0); len(got) != 0 {
+	if got := CutAtCycle(res.Program, allCores, trace, 0); len(got) != 0 {
 		t.Errorf("cut at 0 checkpointed %v", got)
 	}
-	full := CutAtCycle(res.Program, allCores, out.Trace, out.Stats.TotalCycles)
+	full := CutAtCycle(res.Program, allCores, trace, out.Stats.TotalCycles)
 	if !reflect.DeepEqual(full, order) {
 		t.Errorf("cut at completion = %v, want full order %v", full, order)
 	}
 
 	prev := 0
 	for f := 0.0; f <= 1.0; f += 0.05 {
-		got := CutAtCycle(res.Program, allCores, out.Trace, out.Stats.TotalCycles*f)
+		got := CutAtCycle(res.Program, allCores, trace, out.Stats.TotalCycles*f)
 		if len(got) < prev {
 			t.Fatalf("checkpoint shrank at f=%.2f: %d -> %d layers", f, prev, len(got))
 		}
@@ -107,23 +107,24 @@ func TestCutAtCycleFiltersByPlacementCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := &Recorder{}
 	out, err := RunConcurrent(a, []Placement{
 		{Program: resBig.Program, Cores: []int{0, 1}},
 		{Program: resSmall.Program, Cores: []int{2}},
-	}, Config{CollectTrace: true})
+	}, Config{Hook: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	end := out.Stats.TotalCycles
-	if got, want := CutAtCycle(resBig.Program, []int{0, 1}, out.Trace, end), strataOrder(resBig.Program.Strata); !reflect.DeepEqual(got, want) {
+	if got, want := CutAtCycle(resBig.Program, []int{0, 1}, rec.Events, end), strataOrder(resBig.Program.Strata); !reflect.DeepEqual(got, want) {
 		t.Errorf("big placement full cut = %v, want %v", got, want)
 	}
-	if got, want := CutAtCycle(resSmall.Program, []int{2}, out.Trace, end), strataOrder(resSmall.Program.Strata); !reflect.DeepEqual(got, want) {
+	if got, want := CutAtCycle(resSmall.Program, []int{2}, rec.Events, end), strataOrder(resSmall.Program.Strata); !reflect.DeepEqual(got, want) {
 		t.Errorf("small placement full cut = %v, want %v", got, want)
 	}
 	// Cut the big placement mid-run: still a strict prefix of its own
 	// order even though core 2's (small-placement) events share the trace.
-	mid := CutAtCycle(resBig.Program, []int{0, 1}, out.Trace, end/2)
+	mid := CutAtCycle(resBig.Program, []int{0, 1}, rec.Events, end/2)
 	order := strataOrder(resBig.Program.Strata)
 	for i, id := range mid {
 		if order[i] != id {

@@ -30,7 +30,7 @@ import (
 // holding only the scalars the step loop reads (engine, sizes, layer,
 // barrier, dependency count, timing); the 96-byte plan.Instr is not
 // copied, and Tile and Note are read from the program only when a
-// trace, hook or overflow report needs them. Two fused setup passes
+// hook or overflow report needs them. Two fused setup passes
 // over the program build the node array, unit-speed compute cycles,
 // SPM owner bytes, the engine queues and the dependent lists (both
 // CSR: compressed sparse row offset/edge arrays), and the SPM read
@@ -51,7 +51,7 @@ import (
 // and every fault event that fires clears the table.
 //
 // The engine is required to be bit-identical to reference.go — same
-// cycle counts, same floating-point stats accumulation, same trace
+// cycle counts, same floating-point stats accumulation, same hook
 // event order, same fault behavior — which pins several design points:
 //
 //   - Transfer completion times are recomputed from remaining/rate
@@ -61,7 +61,7 @@ import (
 //   - Due completions are processed in the reference's canonical order
 //     (bus channels by capacity, then direct channels, then compute by
 //     core, then barriers by placement), not heap-pop order, because
-//     trace order and stats accumulation order observe it.
+//     hook event order and stats accumulation order observe it.
 //   - Bus channels are gathered in slot order (core, then load before
 //     store), the reference's order, and sorted by capacity the way
 //     the reference's sort.Slice sorts them: its pattern-defeating
@@ -148,7 +148,7 @@ type ebarrier struct {
 // machine is the pooled per-run state of the event engine. Every slice
 // is sized by resize helpers that reuse capacity, so a warm machine
 // runs a simulation without allocating; only the Result (and its
-// PerCore/ProgramCycles/Trace slices, which are handed to the caller)
+// PerCore/ProgramCycles slices, which are handed to the caller)
 // is fresh per run.
 type machine struct {
 	a          *arch.Arch
@@ -212,7 +212,6 @@ type machine struct {
 	pending    []int32 // per global core, instructions not yet finished
 
 	stats Stats
-	trace []Event
 
 	// Per-core busy intervals, kept merged (disjoint, sorted) as they
 	// are appended.
@@ -299,7 +298,6 @@ func (m *machine) release() {
 	m.fs = nil
 	m.fsStore.plan = nil
 	m.stats = Stats{}
-	m.trace = nil
 	m.corrupt = nil
 }
 
@@ -556,12 +554,6 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 		Barriers:      totalBarriers,
 		ProgramCycles: make([]float64, len(placements)),
 	}
-	m.trace = nil
-	if cfg.CollectTrace && total > 0 {
-		// Every instruction finishes exactly once, so the trace holds
-		// exactly total events: allocate it full-size up front.
-		m.trace = make([]Event, 0, total)
-	}
 
 	for cap(m.busyIv) < ncores {
 		m.busyIv = append(m.busyIv[:cap(m.busyIv)], nil)
@@ -781,7 +773,7 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 		// (the final transfer's completion need not trigger a rebuild).
 		h.OnBus(BusSample{At: m.now})
 	}
-	return &Result{Stats: m.stats, Trace: m.trace, Corruptions: m.corrupt}, nil
+	return &Result{Stats: m.stats, Corruptions: m.corrupt}, nil
 }
 
 func (m *machine) pushReady(ei int32) {
@@ -1038,7 +1030,7 @@ func (m *machine) completeDMA() *CoreFailure {
 	return nil
 }
 
-// finishNode retires one instruction at time t: stats, trace, busy
+// finishNode retires one instruction at time t: stats, hook, busy
 // intervals, engine release, and dependency-count decrements that feed
 // the ready list.
 func (m *machine) finishNode(nid int, t float64) {
@@ -1092,19 +1084,12 @@ func (m *machine) finishNode(nid int, t float64) {
 		}
 	}
 	m.appendBusy(c, n.start, t)
-	if m.cfg.CollectTrace {
-		in := m.instr(nid)
-		m.trace = append(m.trace, Event{
-			Core: c, Index: int(m.indexOf[nid]), Op: in.Op, Layer: in.Layer, Tile: in.Tile,
-			Start: n.start, End: t, Retries: int(n.attempt), Note: in.Note,
-		})
-	}
 	if h := m.cfg.Hook; h != nil {
 		in := m.instr(nid)
-		h.OnInstr(InstrSample{
+		h.OnInstr(Event{
 			Placement: pi, Core: c, Index: int(m.indexOf[nid]),
-			Op: in.Op, Layer: in.Layer, Tile: in.Tile,
-			Start: n.start, End: t, Bytes: in.Bytes, MACs: in.MACs, Retries: int(n.attempt),
+			Op: in.Op, Layer: in.Layer, Tile: in.Tile, Start: n.start, End: t,
+			Bytes: in.Bytes, MACs: in.MACs, Retries: int(n.attempt), Note: in.Note,
 		})
 	}
 	// The node's own buffer dies now if no reader is outstanding; the

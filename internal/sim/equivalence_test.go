@@ -23,7 +23,8 @@ import (
 
 // The tests in this file hold the event engine (engine.go) bit-identical
 // to the reference engine (reference.go): same Result structs — cycles,
-// per-core stats, trace event for event — and same typed failures,
+// per-core stats, corruptions — the same recorded trace event for
+// event, and same typed failures,
 // across every benchmark model builder and a matrix of fault plans. The
 // golden file pins the reference engine's cycle counts themselves, so a
 // change that drifts both engines together still fails.
@@ -83,34 +84,40 @@ func equivalencePlans(killCycle float64) []struct {
 	}
 }
 
-// runBoth runs both engines and requires identical outcomes: DeepEqual
-// Results (stats, trace event for event, corruptions) on success, and
-// DeepEqual errors on failure, typed failures (*CoreFailure,
-// *HangDetected, *SPMOverflowError) field for field.
-func runBoth(t *testing.T, a *arch.Arch, placements []Placement, cfg Config) (*Result, error) {
+// runBoth runs both engines, each observed by its own Recorder, and
+// requires identical outcomes: DeepEqual Results (stats, corruptions)
+// on success, DeepEqual errors on failure, typed failures
+// (*CoreFailure, *HangDetected, *SPMOverflowError) field for field, and
+// in both cases identical recorded events — for a failed run, the
+// prefix each engine retired before it stopped. It returns the
+// reference engine's result, trace and error.
+func runBoth(t *testing.T, a *arch.Arch, placements []Placement, cfg Config) (*Result, []Event, error) {
 	t.Helper()
-	ref, refErr := RunConcurrentReference(a, placements, cfg)
-	ev, evErr := RunConcurrent(a, placements, cfg)
+	refRec, evRec := &Recorder{}, &Recorder{}
+	refCfg, evCfg := cfg, cfg
+	refCfg.Hook, evCfg.Hook = refRec, evRec
+	ref, refErr := RunConcurrentReference(a, placements, refCfg)
+	ev, evErr := RunConcurrent(a, placements, evCfg)
 	if !reflect.DeepEqual(refErr, evErr) {
 		t.Fatalf("outcomes diverge:\nreference: %T %+v\nevent:     %T %+v", refErr, refErr, evErr, evErr)
 	}
+	for i := range refRec.Events {
+		if i < len(evRec.Events) && refRec.Events[i] != evRec.Events[i] {
+			t.Fatalf("trace diverges at event %d:\nreference: %+v\nevent:     %+v",
+				i, refRec.Events[i], evRec.Events[i])
+		}
+	}
+	if len(refRec.Events) != len(evRec.Events) {
+		t.Fatalf("trace lengths diverge: reference %d, event %d", len(refRec.Events), len(evRec.Events))
+	}
 	if refErr != nil || reflect.DeepEqual(ref, ev) {
-		return ref, refErr
+		return ref, refRec.Events, refErr
 	}
 	if !reflect.DeepEqual(ref.Stats, ev.Stats) {
 		t.Fatalf("stats diverge:\nreference: %+v\nevent:     %+v", ref.Stats, ev.Stats)
 	}
-	for i := range ref.Trace {
-		if i < len(ev.Trace) && !reflect.DeepEqual(ref.Trace[i], ev.Trace[i]) {
-			t.Fatalf("trace diverges at event %d:\nreference: %+v\nevent:     %+v",
-				i, ref.Trace[i], ev.Trace[i])
-		}
-	}
-	if len(ref.Trace) != len(ev.Trace) {
-		t.Fatalf("trace lengths diverge: reference %d, event %d", len(ref.Trace), len(ev.Trace))
-	}
 	t.Fatalf("corruptions diverge:\nreference: %+v\nevent:     %+v", ref.Corruptions, ev.Corruptions)
-	return nil, nil
+	return nil, nil, nil
 }
 
 func TestEngineMatchesReferenceOnAllModels(t *testing.T) {
@@ -127,7 +134,7 @@ func TestEngineMatchesReferenceOnAllModels(t *testing.T) {
 						cores[i] = i
 					}
 					runBoth(t, cm.prog.Arch, []Placement{{Program: cm.prog, Cores: cores}},
-						Config{CollectTrace: true, Faults: tc.plan})
+						Config{Faults: tc.plan})
 				})
 			}
 		})
@@ -154,7 +161,7 @@ func TestEngineMatchesReferenceConcurrent(t *testing.T) {
 	}
 	for _, tc := range plans {
 		t.Run(tc.name, func(t *testing.T) {
-			runBoth(t, global, placements, Config{CollectTrace: true, Faults: tc.plan})
+			runBoth(t, global, placements, Config{Faults: tc.plan})
 		})
 	}
 }
@@ -187,7 +194,7 @@ func TestEngineMatchesReferenceSynthetic(t *testing.T) {
 	for _, tc := range plans {
 		t.Run(tc.name, func(t *testing.T) {
 			runBoth(t, a, []Placement{{Program: res.Program, Cores: []int{0, 1, 2}}},
-				Config{CollectTrace: true, Faults: tc.plan})
+				Config{Faults: tc.plan})
 		})
 	}
 }
@@ -312,8 +319,8 @@ func TestRetriedTransferUsesFreshRate(t *testing.T) {
 		}
 	}
 
-	cfg := Config{CollectTrace: true, Faults: fp}
-	res, err := runBoth(t, sub, []Placement{
+	cfg := Config{Faults: fp}
+	_, trace, err := runBoth(t, sub, []Placement{
 		{Program: prog, Cores: []int{0, 1}},
 	}, cfg)
 	if err != nil {
@@ -326,9 +333,9 @@ func TestRetriedTransferUsesFreshRate(t *testing.T) {
 	// meanwhile, so the retry runs alone: 2200 + 7000/14 = 2700. A
 	// stale 7 B/cycle rate would instead finish at 2200 + 1000 = 3200.
 	var victim *Event
-	for i := range res.Trace {
-		if res.Trace[i].Note == "victim" {
-			victim = &res.Trace[i]
+	for i := range trace {
+		if trace[i].Note == "victim" {
+			victim = &trace[i]
 		}
 	}
 	if victim == nil {

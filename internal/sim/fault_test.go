@@ -21,7 +21,7 @@ func faultRun(t *testing.T, g *graph.Graph, a *arch.Arch, opt core.Options, p *f
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return Run(res.Program, Config{CollectTrace: true, Faults: p})
+	return Run(res.Program, Config{Faults: p})
 }
 
 func TestFaultDeterminism(t *testing.T) {
@@ -34,31 +34,35 @@ func TestFaultDeterminism(t *testing.T) {
 		DropRate:  0.05,
 		Throttles: []fault.Throttle{{Core: 1, AtCycle: 20000, Factor: 0.5}},
 	}
-	first, err := faultRun(t, g, a, core.Halo(), plan)
+	res, err := core.Compile(g, a, core.Halo())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := faultRun(t, g, a, core.Halo(), plan)
+	first, firstTrace, err := runTraced(res.Program, Config{Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, secondTrace, err := runTraced(res.Program, Config{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(first.Stats, second.Stats) {
 		t.Errorf("stats differ across identical runs:\n%+v\nvs\n%+v", first.Stats, second.Stats)
 	}
-	if !reflect.DeepEqual(first.Trace, second.Trace) {
+	if !reflect.DeepEqual(firstTrace, secondTrace) {
 		t.Error("event traces differ across identical runs")
 	}
 	// A different seed must actually change behavior (drops land on
 	// different transfers).
-	other, err := faultRun(t, g, a, core.Halo(), &fault.Plan{
+	_, otherTrace, err := runTraced(res.Program, Config{Faults: &fault.Plan{
 		Seed:      100,
 		DropRate:  0.05,
 		Throttles: plan.Throttles,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(first.Trace, other.Trace) {
+	if reflect.DeepEqual(firstTrace, otherTrace) {
 		t.Error("different fault seeds produced identical traces")
 	}
 }

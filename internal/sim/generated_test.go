@@ -17,8 +17,9 @@ import (
 // generated programs: random graphs (randgraph) compiled under every
 // configuration for four architectures, each run under six fault
 // plans. The event engine must return a Result DeepEqual to the
-// reference engine's, trace and corruptions included, or the same
-// typed error.
+// reference engine's, corruptions included, or the same typed error,
+// and feed its hook the same events (the prefix before a failure
+// included).
 
 var genConfigs = []core.Options{core.Base(), core.Halo(), core.Stratum()}
 
@@ -52,7 +53,7 @@ func genProgram(t testing.TB, seed int64, a *arch.Arch, opt core.Options) (*plan
 // genConfig builds the named fault plan, its events placed at
 // fractions of the clean latency T.
 func genConfig(name string, faultSeed uint64, T float64) Config {
-	cfg := Config{CollectTrace: true}
+	var cfg Config
 	switch name {
 	case "drop":
 		cfg.Faults = &fault.Plan{Seed: faultSeed, DropRate: 0.05, MaxRetries: 12}
@@ -82,7 +83,7 @@ func genConfig(name string, faultSeed uint64, T float64) Config {
 
 // runGenerated runs both engines on prog over all its cores and
 // requires identical outcomes.
-func runGenerated(t *testing.T, prog *plan.Program, cfg Config) (*Result, error) {
+func runGenerated(t *testing.T, prog *plan.Program, cfg Config) (*Result, []Event, error) {
 	t.Helper()
 	cores := make([]int, prog.Arch.NumCores())
 	for i := range cores {
@@ -97,8 +98,9 @@ func TestGeneratedEngineEquivalence(t *testing.T) {
 		seeds = 4
 	}
 	// Outcomes seen across the matrix: a generator that never drops,
-	// kills, hangs, flips or moves halo traffic would hold the engines
-	// equal without testing those paths.
+	// kills, hangs, flips or moves halo traffic, or fails before any
+	// instruction retires, would hold the engines equal without testing
+	// those paths.
 	seen := map[string]bool{}
 	for seed := int64(0); seed < seeds; seed++ {
 		for _, a := range genArchs() {
@@ -106,19 +108,19 @@ func TestGeneratedEngineEquivalence(t *testing.T) {
 				prog, T := genProgram(t, seed, a, opt)
 				for _, name := range genPlans {
 					t.Run(fmt.Sprintf("seed%d/%s/%s/%s", seed, a.Name, opt.Name(), name), func(t *testing.T) {
-						res, err := runGenerated(t, prog, genConfig(name, uint64(seed)+1, T))
+						res, trace, err := runGenerated(t, prog, genConfig(name, uint64(seed)+1, T))
 						if l, ok := LossOf(err); ok && l.Failure != nil {
 							seen["core failure"] = true
 						} else if ok {
 							seen["hang detected"] = true
 						}
-						if res == nil {
-							return
+						if err != nil && len(trace) > 0 {
+							seen["failure prefix"] = true
 						}
-						if len(res.Corruptions) > 0 {
+						if res != nil && len(res.Corruptions) > 0 {
 							seen["corruption"] = true
 						}
-						for _, ev := range res.Trace {
+						for _, ev := range trace {
 							if ev.Retries > 0 {
 								seen["retry"] = true
 							}
@@ -131,7 +133,7 @@ func TestGeneratedEngineEquivalence(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"core failure", "hang detected", "corruption", "retry", "direct halo"} {
+	for _, want := range []string{"core failure", "hang detected", "failure prefix", "corruption", "retry", "direct halo"} {
 		if !seen[want] {
 			t.Errorf("no generated case produced a %s", want)
 		}

@@ -1,13 +1,10 @@
 package sim
 
-import (
-	"repro/internal/graph"
-	"repro/internal/plan"
-)
-
-// Hook observes the event engine's execution for metrics collection
-// (package metrics implements it). The contract is strict so the hook
-// cannot perturb the simulation or its performance:
+// Hook observes a run: it receives every retired instruction, and on
+// the event engine the bus allocation series (package metrics
+// implements it for reports; Recorder is the trace-only hook). The
+// contract is strict so the hook cannot perturb the simulation or its
+// performance:
 //
 //   - A nil Config.Hook costs one predicted branch per retired
 //     instruction and per bus reallocation — the zero-allocation
@@ -18,13 +15,14 @@ import (
 //   - The hook is a pure observer: the engine's results are
 //     bit-identical with and without one (the equivalence suite runs a
 //     recording hook to enforce this).
-//   - Only the production event engine (engine.go) feeds hooks. The
-//     retained reference engine ignores Config.Hook — it exists as the
-//     bit-identity oracle and stays unobserved and boring.
+//   - Both engines feed OnInstr, with identical events in identical
+//     order, including the prefix a failed run retired before it
+//     stopped. Only the event engine feeds OnBus: the reference engine
+//     has no incremental allocation series to report.
 type Hook interface {
 	// OnInstr fires once per retired instruction, in completion order
-	// (the same order Stats accumulation and the trace observe).
-	OnInstr(InstrSample)
+	// (the order Stats accumulation observes).
+	OnInstr(Event)
 	// OnBus fires whenever the bus water-filling set is rebuilt
 	// (membership or core-speed change) with the new allocation, and
 	// once more at the end of the run with an empty allocation, closing
@@ -33,26 +31,23 @@ type Hook interface {
 	OnBus(BusSample)
 }
 
-// InstrSample is one retired instruction, as seen by a Hook.
-type InstrSample struct {
-	// Placement indexes the Placement slice of the run (0 for Run).
-	Placement int
-	// Core is the global core that executed the instruction.
-	Core int
-	// Index is the instruction's position within its core-local stream.
-	Index int
-	Op    plan.OpCode
-	Layer graph.LayerID
-	Tile  int
-	Start float64 // cycles; retried DMA transfers keep their first issue time
-	End   float64 // cycles
-	// Bytes and MACs are the instruction's declared sizes (a dropped
-	// and re-issued transfer reports Bytes once; Retries counts the
-	// extra bus trips).
-	Bytes   int64
-	MACs    int64
-	Retries int
+// Recorder is the trace-only Hook: it keeps every retired instruction
+// in completion order and ignores the bus series. Its Events are the
+// run's trace (for a failed run, the prefix retired before the
+// failure). The zero value is ready to use; Reset reuses the backing
+// array across runs.
+type Recorder struct {
+	Events []Event
 }
+
+// OnInstr implements Hook.
+func (r *Recorder) OnInstr(e Event) { r.Events = append(r.Events, e) }
+
+// OnBus implements Hook; a trace has no bus series.
+func (*Recorder) OnBus(BusSample) {}
+
+// Reset clears the trace for reuse, keeping capacity.
+func (r *Recorder) Reset() { r.Events = r.Events[:0] }
 
 // BusSample is one step of the shared-bus allocation series: the
 // water-filling result at time At, valid until the next sample.

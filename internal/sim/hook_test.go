@@ -9,15 +9,14 @@ import (
 	"repro/internal/plan"
 )
 
-// recordingHook is a minimal Hook for tests (package metrics has the
+// recordingHook records both series for tests (package metrics has the
 // real collector; sim must not import it).
 type recordingHook struct {
-	instrs []InstrSample
-	bus    []BusSample
+	Recorder
+	bus []BusSample
 }
 
-func (h *recordingHook) OnInstr(s InstrSample) { h.instrs = append(h.instrs, s) }
-func (h *recordingHook) OnBus(s BusSample)     { h.bus = append(h.bus, s) }
+func (h *recordingHook) OnBus(s BusSample) { h.bus = append(h.bus, s) }
 
 // TestHookObserverIsPure holds the hook to its contract: attaching one
 // changes nothing about the run's outcome, on every model and fault
@@ -30,9 +29,9 @@ func TestHookObserverIsPure(t *testing.T) {
 		}
 		for _, fp := range equivalencePlans(base.Stats.TotalCycles) {
 			t.Run(cm.name+"/"+fp.name, func(t *testing.T) {
-				plain, plainErr := Run(cm.prog, Config{CollectTrace: true, Faults: fp.plan})
+				plain, plainErr := Run(cm.prog, Config{Faults: fp.plan})
 				hook := &recordingHook{}
-				hooked, hookedErr := Run(cm.prog, Config{CollectTrace: true, Faults: fp.plan, Hook: hook})
+				hooked, hookedErr := Run(cm.prog, Config{Faults: fp.plan, Hook: hook})
 				switch {
 				case plainErr == nil && hookedErr == nil:
 					if !reflect.DeepEqual(plain, hooked) {
@@ -48,17 +47,9 @@ func TestHookObserverIsPure(t *testing.T) {
 				if plainErr != nil {
 					return
 				}
-				// Exactly one sample per instruction, in trace order with
-				// matching fields.
-				if len(hook.instrs) != len(hooked.Trace) {
-					t.Fatalf("%d instruction samples for %d trace events", len(hook.instrs), len(hooked.Trace))
-				}
-				for i, s := range hook.instrs {
-					ev := hooked.Trace[i]
-					if s.Core != ev.Core || s.Index != ev.Index || s.Op != ev.Op ||
-						s.Start != ev.Start || s.End != ev.End || s.Retries != ev.Retries {
-						t.Fatalf("sample %d = %+v does not match trace event %+v", i, s, ev)
-					}
+				// Exactly one event per instruction.
+				if n := cm.prog.NumInstrs(); len(hook.Events) != n {
+					t.Fatalf("%d instruction events for %d instructions", len(hook.Events), n)
 				}
 				// The bus series is closed: non-decreasing timestamps, final
 				// sample empty at the run's end.
@@ -91,7 +82,7 @@ func TestHookSampleTotals(t *testing.T) {
 			t.Fatalf("%s: %v", cm.name, err)
 		}
 		acc := make([]CoreStats, len(out.Stats.PerCore))
-		for _, s := range hook.instrs {
+		for _, s := range hook.Events {
 			st := &acc[s.Core]
 			dur := s.End - s.Start
 			switch s.Op.Engine() {

@@ -14,10 +14,11 @@ import (
 
 // This file preserves the original step-scanning simulator verbatim as
 // the reference implementation. The event-driven engine (engine.go)
-// must reproduce it bit for bit — cycle counts, per-core stats, traces,
-// and fault behavior — which the equivalence tests enforce by
-// DeepEqual-ing both engines across every benchmark model and fault
-// plan. Keep this code boring and unoptimized: it is the oracle.
+// must reproduce it bit for bit — cycle counts, per-core stats, hook
+// instruction events, and fault behavior — which the equivalence tests
+// enforce by DeepEqual-ing both engines across every benchmark model
+// and fault plan. Keep this code boring and unoptimized: it is the
+// oracle.
 
 // node is the runtime state of one instruction (reference engine).
 type node struct {
@@ -52,11 +53,7 @@ type barrier struct {
 // implementation. Production callers should use Run; this entry point
 // exists for golden equivalence tests and A/B benchmarking.
 func RunReference(p *plan.Program, cfg Config) (*Result, error) {
-	cores := make([]int, p.Arch.NumCores())
-	for i := range cores {
-		cores[i] = i
-	}
-	return RunConcurrentReference(p.Arch, []Placement{{Program: p, Cores: cores}}, cfg)
+	return RunConcurrentReference(p.Arch, Whole(p), cfg)
 }
 
 // RunConcurrentReference is the reference-engine counterpart of
@@ -259,7 +256,6 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 		Barriers:      totalBarriers,
 		ProgramCycles: make([]float64, len(placements)),
 	}
-	var trace []Event
 	busyIntervals := make([][][2]float64, ncores)
 
 	// localIndex maps a global core back to its placement-local index.
@@ -324,10 +320,11 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 			}
 		}
 		busyIntervals[c] = append(busyIntervals[c], [2]float64{n.start, t})
-		if cfg.CollectTrace {
-			trace = append(trace, Event{
-				Core: c, Index: indexOf[nid], Op: n.in.Op, Layer: n.in.Layer, Tile: n.in.Tile,
-				Start: n.start, End: t, Retries: n.attempt, Note: n.in.Note,
+		if cfg.Hook != nil {
+			cfg.Hook.OnInstr(Event{
+				Placement: progOf[nid], Core: c, Index: indexOf[nid],
+				Op: n.in.Op, Layer: n.in.Layer, Tile: n.in.Tile, Start: n.start, End: t,
+				Bytes: n.in.Bytes, MACs: n.in.MACs, Retries: n.attempt, Note: n.in.Note,
 			})
 		}
 		// The node's own buffer dies now if no reader is outstanding;
@@ -749,5 +746,5 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 	for c := 0; c < ncores; c++ {
 		stats.PerCore[c].Idle = stats.TotalCycles - unionLength(busyIntervals[c])
 	}
-	return &Result{Stats: stats, Trace: trace, Corruptions: corrupts}, nil
+	return &Result{Stats: stats, Corruptions: corrupts}, nil
 }

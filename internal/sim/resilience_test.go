@@ -46,7 +46,7 @@ func TestWatchdogDetectsHang(t *testing.T) {
 	}
 	hangAt := clean.Stats.TotalCycles / 2
 	heartbeat := clean.Stats.TotalCycles / 20
-	_, err = runBoth(t, a, pl, Config{
+	_, _, err = runBoth(t, a, pl, Config{
 		Faults:         &fault.Plan{Hangs: []fault.Hang{{Core: 1, AtCycle: hangAt}}},
 		WatchdogCycles: heartbeat,
 	})
@@ -87,7 +87,7 @@ func TestWatchdogDetectionLatencySweep(t *testing.T) {
 	hangAt := clean.Stats.TotalCycles * 0.4
 	for _, frac := range []float64{0.02, 0.05, 0.1, 0.25} {
 		heartbeat := clean.Stats.TotalCycles * frac
-		_, err := runBoth(t, a, pl, Config{
+		_, _, err := runBoth(t, a, pl, Config{
 			Faults:         &fault.Plan{Hangs: []fault.Hang{{Core: 0, AtCycle: hangAt}}},
 			WatchdogCycles: heartbeat,
 		})
@@ -123,7 +123,7 @@ func TestWatchdogNoFalsePositives(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			watched, err := runBoth(t, a, pl, Config{Faults: tc.plan, WatchdogCycles: 500})
+			watched, _, err := runBoth(t, a, pl, Config{Faults: tc.plan, WatchdogCycles: 500})
 			if err != nil {
 				t.Fatalf("watchdog false positive: %v", err)
 			}
@@ -151,7 +151,7 @@ func TestHangWithoutWatchdogDeadlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runBoth(t, a, pl, Config{
+	_, _, err = runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{Hangs: []fault.Hang{{Core: 1, AtCycle: clean.Stats.TotalCycles / 2}}},
 	})
 	if err == nil {
@@ -173,7 +173,7 @@ func TestResumingHangCompletesSlower(t *testing.T) {
 		t.Fatal(err)
 	}
 	stall := clean.Stats.TotalCycles / 4
-	res, err := runBoth(t, a, pl, Config{
+	res, _, err := runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{Hangs: []fault.Hang{
 			{Core: 1, AtCycle: clean.Stats.TotalCycles / 3, ResumeAfter: stall},
 		}},
@@ -204,7 +204,7 @@ func TestSilentSlowdownSlowsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := runBoth(t, a, pl, Config{
+	slow, _, err := runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{Slowdowns: []fault.Slowdown{{Core: 0, AtCycle: 0, Factor: 0.25}}},
 	})
 	if err != nil {
@@ -216,7 +216,7 @@ func TestSilentSlowdownSlowsRun(t *testing.T) {
 	}
 	// Slowdown composes with an announced throttle: both at 0.5 on the
 	// same core behave like an effective 0.25.
-	both, err := runBoth(t, a, pl, Config{
+	both, _, err := runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{
 			Throttles: []fault.Throttle{{Core: 0, AtCycle: 0, Factor: 0.5}},
 			Slowdowns: []fault.Slowdown{{Core: 0, AtCycle: 0, Factor: 0.5}},
@@ -237,7 +237,7 @@ func TestBitFlipsDetectedAtStratumBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runBoth(t, a, pl, Config{
+	res, _, err := runBoth(t, a, pl, Config{
 		Faults: &fault.Plan{Seed: 5, FlipRate: 0.2},
 	})
 	if err != nil {
@@ -295,8 +295,8 @@ func TestResilienceDeterminism(t *testing.T) {
 		},
 		WatchdogCycles: clean.Stats.TotalCycles / 10,
 	}
-	_, err1 := runBoth(t, a, pl, cfg)
-	_, err2 := runBoth(t, a, pl, cfg)
+	_, _, err1 := runBoth(t, a, pl, cfg)
+	_, _, err2 := runBoth(t, a, pl, cfg)
 	var hd1, hd2 *HangDetected
 	if !errors.As(err1, &hd1) || !errors.As(err2, &hd2) {
 		t.Fatalf("expected hang detections, got %v / %v", err1, err2)

@@ -54,17 +54,17 @@ func TestRetryStatsCountOnce(t *testing.T) {
 		}
 	}
 
-	res, err := runBoth(t, sub, []Placement{
+	res, trace, err := runBoth(t, sub, []Placement{
 		{Program: prog, Cores: []int{0, 1}},
-	}, Config{CollectTrace: true, Faults: fp})
+	}, Config{Faults: fp})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
 	var victim *Event
-	for i := range res.Trace {
-		if res.Trace[i].Note == "victim" {
-			victim = &res.Trace[i]
+	for i := range trace {
+		if trace[i].Note == "victim" {
+			victim = &trace[i]
 		}
 	}
 	if victim == nil {

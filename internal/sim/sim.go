@@ -20,11 +20,13 @@
 // benchmarks, which hold the two bit-identical.
 //
 // The golden files pinning the engines (testdata/golden_cycles.json
-// here, chrome_tinycnn.json under internal/trace) regenerate with
-// go generate ./internal/sim:
+// here, chrome_tinycnn.json under internal/trace) and the compiler
+// output they run (compile_golden.json under internal/core) regenerate
+// with go generate ./internal/sim:
 //
 //go:generate go test -run TestEngineGoldenCycles -update
 //go:generate go test ../trace -run TestChromeGolden -update
+//go:generate go test ../core -run TestCompileGolden -update
 package sim
 
 import (
@@ -36,9 +38,13 @@ import (
 	"repro/internal/plan"
 )
 
-// Event is one executed instruction interval, for traces and Gantt
-// rendering (Figure 12).
+// Event is one retired instruction: the sample a Hook's OnInstr
+// receives, and the element of a trace (a Recorder's Events) for Gantt
+// rendering (Figure 12) and preemption cuts.
 type Event struct {
+	// Placement indexes the Placement slice of the run (0 for Run).
+	Placement int
+	// Core is the global core that executed the instruction.
 	Core int
 	// Index is the instruction's position within its core's stream
 	// (placement-local), letting tools join events back to the program.
@@ -46,8 +52,13 @@ type Event struct {
 	Op    plan.OpCode
 	Layer graph.LayerID
 	Tile  int
-	Start float64 // cycles
+	Start float64 // cycles; retried DMA transfers keep their first issue time
 	End   float64 // cycles
+	// Bytes and MACs are the instruction's declared sizes (a dropped
+	// and re-issued transfer reports Bytes once; Retries counts the
+	// extra bus trips).
+	Bytes int64
+	MACs  int64
 	// Retries counts how many times this instruction's DMA transfer
 	// was dropped and re-issued before succeeding (fault injection).
 	Retries int
@@ -139,11 +150,11 @@ func (s *Stats) EnergyMicroJoules(pjPerMAC, pjPerDRAMByte float64, int16Model bo
 	return (float64(s.TotalMACs())*macPJ + float64(s.TotalBytes())*pjPerDRAMByte) / 1e6
 }
 
-// Result bundles stats with an optional trace and, under FlipRate
-// fault injection, the corruptions detected at stratum boundaries.
+// Result bundles stats with, under FlipRate fault injection, the
+// corruptions detected at stratum boundaries. A trace is not part of
+// it: install a Recorder as Config.Hook to collect one.
 type Result struct {
 	Stats Stats
-	Trace []Event
 	// Corruptions lists every stratum whose boundary checksum caught
 	// corrupted DMA bytes, in detection order (empty without FlipRate
 	// faults; identical between both engines). The run completes —
@@ -161,16 +172,13 @@ type Config struct {
 	// Cancellation never perturbs an uncanceled run: with a live
 	// context both engines stay bit-identical to a nil-context run.
 	Ctx context.Context
-	// CollectTrace records every instruction interval.
-	CollectTrace bool
 	// Faults injects deterministic faults (nil or empty: none). A run
 	// that loses a core returns a *CoreFailure error carrying the
 	// checkpoint recovery resumes from.
 	Faults *fault.Plan
-	// Hook observes the run for metrics collection (see the Hook doc
-	// for the zero-overhead contract). Nil disables observation. Only
-	// the event engine feeds hooks; the reference engine ignores this
-	// field.
+	// Hook observes the run: every retired instruction, and on the
+	// event engine the bus allocation series (see the Hook doc for the
+	// zero-overhead contract). Nil disables observation.
 	Hook Hook
 	// WatchdogCycles enables the hang watchdog: per-core progress is
 	// checked every WatchdogCycles simulated cycles, and a core that
@@ -197,11 +205,17 @@ type Placement struct {
 // (plan.Program.Validate catches static cycles; deadlock here would
 // come from barrier misuse).
 func Run(p *plan.Program, cfg Config) (*Result, error) {
+	return RunConcurrent(p.Arch, Whole(p), cfg)
+}
+
+// Whole is the placement Run simulates: p alone on every core of its
+// architecture.
+func Whole(p *plan.Program) []Placement {
 	cores := make([]int, p.Arch.NumCores())
 	for i := range cores {
 		cores[i] = i
 	}
-	return RunConcurrent(p.Arch, []Placement{{Program: p, Cores: cores}}, cfg)
+	return []Placement{{Program: p, Cores: cores}}
 }
 
 // jitter returns a deterministic pseudo-random barrier-release delay

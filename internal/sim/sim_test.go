@@ -133,20 +133,29 @@ func TestStratumWinsWhenSyncBound(t *testing.T) {
 	}
 }
 
+// runTraced runs p on the event engine with a Recorder installed and
+// returns the result with the recorded trace.
+func runTraced(p *plan.Program, cfg Config) (*Result, []Event, error) {
+	rec := &Recorder{}
+	cfg.Hook = rec
+	out, err := Run(p, cfg)
+	return out, rec.Events, err
+}
+
 func TestTraceCollection(t *testing.T) {
 	g := convNet(2)
 	res, err := core.Compile(g, arch.Exynos2100Like(), core.Halo())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(res.Program, Config{CollectTrace: true})
+	_, trace, err := runTraced(res.Program, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Trace) != res.Program.NumInstrs() {
-		t.Errorf("trace has %d events, program has %d instrs", len(out.Trace), res.Program.NumInstrs())
+	if len(trace) != res.Program.NumInstrs() {
+		t.Errorf("trace has %d events, program has %d instrs", len(trace), res.Program.NumInstrs())
 	}
-	for _, ev := range out.Trace {
+	for _, ev := range trace {
 		if ev.End < ev.Start {
 			t.Errorf("event %q ends before it starts", ev.Note)
 		}
@@ -159,7 +168,7 @@ func TestTraceRespectsDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(res.Program, Config{CollectTrace: true})
+	_, trace, err := runTraced(res.Program, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +176,7 @@ func TestTraceRespectsDependencies(t *testing.T) {
 	// finished before each start.
 	end := make(map[[2]int]float64)
 	start := make(map[[2]int]float64)
-	for _, ev := range out.Trace {
+	for _, ev := range trace {
 		// Identify the instruction by core + scan order; trace events
 		// are unique per instruction, so match by core and note+times.
 		_ = ev
@@ -180,7 +189,7 @@ func TestTraceRespectsDependencies(t *testing.T) {
 		note string
 	}
 	seen := map[key]Event{}
-	for _, ev := range out.Trace {
+	for _, ev := range trace {
 		seen[key{ev.Core, ev.Note}] = ev
 	}
 	for c, stream := range res.Program.Cores {

@@ -60,7 +60,7 @@ func TestRunZeroesRatesAfterRetry(t *testing.T) {
 	}
 
 	var m machine
-	if _, err := m.run(sub, []Placement{{Program: prog, Cores: []int{0, 1}}}, Config{CollectTrace: true, Faults: fp}); err != nil {
+	if _, err := m.run(sub, []Placement{{Program: prog, Cores: []int{0, 1}}}, Config{Hook: &Recorder{}, Faults: fp}); err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
 	for nid, r := range m.rates {

@@ -71,8 +71,11 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 	}
 	times := sortedTimes(timeSet)
 
+	// Preemption cuts need the round trace: every co-run records into
+	// one Recorder, reset per co-run so its capacity is reused.
+	rec := &sim.Recorder{}
 	cfg := opts.Sim
-	cfg.CollectTrace = true // preemption cuts need the round trace
+	cfg.Hook = rec
 	// Isolated baselines are fault-free by construction: interference
 	// must measure bus contention, not injected faults.
 	icfg := sim.Config{Ctx: opts.Sim.Ctx}
@@ -113,6 +116,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 		for i, ts := range admitted {
 			placements[i] = sim.Placement{Program: ts.cur.Program, Cores: ts.cores}
 		}
+		rec.Reset()
 		out, err := sim.RunConcurrent(a, placements, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("tenancy: co-run: %w", err)
@@ -201,7 +205,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 						return D, err
 					}
 				} else {
-					preempt(ts, out.Trace, D)
+					preempt(ts, rec.Events, D)
 				}
 			}
 			return D, nil
@@ -241,7 +245,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 						return D, err
 					}
 				} else {
-					preempt(ts, outS.Trace, rem)
+					preempt(ts, rec.Events, rem)
 				}
 			}
 		}

@@ -29,7 +29,7 @@ func TestSharedGraphStaysUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	kill := sim.Config{Faults: &fault.Plan{Deaths: []fault.Death{{Core: 1, AtCycle: 200000}}}}
-	rec, err := recovery.Run(g, a, res.Program, recovery.Options{Opt: opt, Sim: kill})
+	rec, err := recovery.Run(res, recovery.Options{Opt: opt, Sim: kill})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,8 +146,9 @@ type Options struct {
 	// OptSet marks Opt as explicitly provided (a zero core.Options is
 	// a meaningful configuration, so presence needs its own bit).
 	OptSet bool
-	// Sim configures every co-simulation (cancellation via Ctx, fault
-	// plans). CollectTrace is forced on — preemption cuts need traces.
+	// Sim configures every co-simulation: cancellation via Ctx, fault
+	// plans, the watchdog. Its Hook is replaced by the run's own trace
+	// recorder, because preemption cuts need each co-run's trace.
 	Sim sim.Config
 }
 

@@ -24,11 +24,11 @@ func traceOf(t *testing.T) ([]sim.Event, *arch.Arch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sim.Run(res.Program, sim.Config{CollectTrace: true})
-	if err != nil {
+	rec := &sim.Recorder{}
+	if _, err := res.Simulate(sim.Config{Hook: rec}); err != nil {
 		t.Fatal(err)
 	}
-	return out.Trace, a
+	return rec.Events, a
 }
 
 func TestGantt(t *testing.T) {

@@ -99,7 +99,7 @@ func RunWithFaultsWatched(g *Graph, a *Arch, opt Options, plan *FaultPlan, watch
 	if err != nil {
 		return nil, err
 	}
-	rec, err := recovery.Run(g, a, res.Program, recovery.Options{
+	rec, err := recovery.Run(res, recovery.Options{
 		Opt: opt,
 		Sim: sim.Config{Faults: plan, WatchdogCycles: watchdogCycles},
 	})

@@ -232,16 +232,15 @@ func Simulate(res *Result, collectTrace bool) (*Report, error) {
 // compare per step. Without a trace it returns the compiler's
 // admission run rather than simulating again (see core.Result.Simulate).
 func SimulateCtx(ctx context.Context, res *Result, collectTrace bool) (*Report, error) {
-	out, err := res.Simulate(sim.Config{Ctx: ctx, CollectTrace: collectTrace})
+	cfg, rec := sim.Config{Ctx: ctx}, &sim.Recorder{}
+	if collectTrace {
+		cfg.Hook = rec
+	}
+	out, err := res.Simulate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Report{
-		Stats:  out.Stats,
-		Trace:  out.Trace,
-		Arch:   res.Program.Arch,
-		Config: "compiled",
-	}, nil
+	return &Report{Stats: out.Stats, Trace: rec.Events, Arch: res.Program.Arch, Config: "compiled"}, nil
 }
 
 // Run compiles and simulates in one step.
