@@ -29,6 +29,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/sim"
+	"repro/internal/tenancy"
 )
 
 // runPoint compiles and simulates one configuration point, reporting
@@ -287,10 +288,8 @@ func BenchmarkSimulate(b *testing.B) {
 
 // BenchmarkSimulateConcurrent measures a co-run: two +Stratum programs
 // on disjoint core subsets sharing the bus, recorded by one reused
-// sim.Recorder — the shape tenancy simulates every epoch (it cuts
-// placements at stratum boundaries from the trace). Once the recorder
-// has grown to a run's length, a traced run allocates no more than an
-// untraced one.
+// sim.Recorder. Once the recorder has grown to a run's length, a traced
+// run allocates no more than an untraced one.
 func BenchmarkSimulateConcurrent(b *testing.B) {
 	global := arch.Exynos2100Like()
 	var placements []sim.Placement
@@ -316,6 +315,52 @@ func BenchmarkSimulateConcurrent(b *testing.B) {
 		if _, err := sim.RunConcurrent(global, placements, sim.Config{Hook: rec}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// tenantShapes are the four /tenants scenarios perfbench's run-degraded
+// workload replays, with its arrival and departure shares of the 20 ms
+// default horizon and the mobile models taken in turn.
+var tenantShapes = []string{
+	"t0=InceptionV3:prio=1:slo=5000,t1=MobileNetV2:prio=2:slo=4000:arrive=5317",
+	"t0=MobileNetV2-SSD:prio=2:slo=6000,t1=MobileDet-SSD:prio=1:slo=6000:arrive=10421",
+	"t0=InceptionV3:prio=1:slo=5000,t1=MobileNetV2:prio=3:slo=3000:arrive=4210,t2=MobileNetV2-SSD:prio=2:slo=7000:arrive=9733",
+	"t0=MobileDet-SSD:prio=2:slo=6000,t1=InceptionV3:prio=3:slo=8000:arrive=6604:depart=11388,t2=MobileNetV2:prio=1:slo=3000:arrive=12555",
+}
+
+// BenchmarkTenancyRun measures tenancy.Run over the four shapes, one
+// op running all four, on a warm compile cache. "cold-memo" empties the
+// co-run memo before every op, so each shape simulates its co-runs as a
+// first-seen schedule does; "warm-memo" serves them from the memo, as a
+// repeated scenario is.
+func BenchmarkTenancyRun(b *testing.B) {
+	a := arch.Exynos2100Like()
+	var specs [][]tenancy.Tenant
+	for _, s := range tenantShapes {
+		ts, err := tenancy.ParseSpec(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs = append(specs, ts)
+	}
+	runAll := func(b *testing.B) {
+		for _, ts := range specs {
+			if _, err := tenancy.Run(a, ts, tenancy.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	runAll(b) // fill the compile cache
+	for _, mode := range []string{"cold-memo", "warm-memo"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if mode == "cold-memo" {
+					tenancy.ResetMemo()
+				}
+				runAll(b)
+			}
+		})
 	}
 }
 

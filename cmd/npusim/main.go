@@ -156,7 +156,7 @@ func main() {
 	fmt.Printf("  idle %sus, sync %sus across cores; %d barriers; %.2f GMACs executed\n",
 		metrics.Summarize(idles), metrics.Summarize(syncs),
 		out.Stats.Barriers, float64(out.Stats.TotalMACs())/1e9)
-	obs.export(res.Program, res, opt.Name(), &out.Stats)
+	obs.export(res.Program, res, opt.Name(), &out.Stats, "")
 }
 
 // runTenants co-schedules a multi-tenant serving scenario over the
@@ -192,9 +192,9 @@ func runTenants(a *arch.Arch, spec string, horizonUS float64, out string, opt co
 
 // runFaulted simulates under a fault plan and, when a core dies or the
 // watchdog catches a silent hang, recovers the unexecuted suffix onto
-// the surviving cores. Metrics observe the first attempt: a completed
-// run reports it whole; a failed one reports the partial execution up
-// to the failure.
+// the surviving cores. Metrics, -trace and -gantt observe the first
+// attempt: a completed run reports it whole; a failed one reports the
+// partial execution up to the failure.
 func runFaulted(g *graph.Graph, a *arch.Arch, opt core.Options, res *core.Result, plan *fault.Plan, watchdog float64, obs observeOpts) {
 	clock := a.ClockMHz
 	printRetries := func(per []sim.CoreStats) {
@@ -212,11 +212,11 @@ func runFaulted(g *graph.Graph, a *arch.Arch, opt core.Options, res *core.Result
 				c.Stratum, c.DetectedAtCycle, c.Transfers)
 		}
 	}
-	emit := func(st *sim.Stats) { obs.emitMetrics(res.Program, res, opt.Name(), st) }
+	// The collector observes just the first attempt (a recovered run's
+	// suffix is not traced), so the metrics, the Gantt chart and the
+	// Chrome trace all cover that attempt and say so.
+	emit := func(st *sim.Stats) { obs.export(res.Program, res, opt.Name(), st, "first attempt") }
 
-	// A faulted run exports metrics only: the collector observes just
-	// the first attempt, so it holds no trace of the recovered run.
-	obs.traceOut, obs.gantt = "", 0
 	rec, err := recovery.Run(res, recovery.Options{
 		Opt: opt,
 		Sim: sim.Config{Faults: plan, WatchdogCycles: watchdog, Hook: obs.hook()},
@@ -283,7 +283,7 @@ func simulateFile(path string, obs observeOpts) {
 	}
 	fmt.Printf("%s on %s: %.1f us end-to-end (replayed from %s)\n",
 		p.Graph.Name, p.Arch.Name, out.Stats.LatencyMicros(p.Arch.ClockMHz), path)
-	obs.export(p, nil, "", &out.Stats)
+	obs.export(p, nil, "", &out.Stats, "")
 }
 
 // observeOpts carries the flags that observe a run (-metrics,
@@ -315,9 +315,18 @@ func (o *observeOpts) hook() sim.Hook {
 // export writes everything the flags ask for of one observed
 // whole-platform run of p: the metrics report, the text Gantt chart and
 // the Chrome trace. res, when non-nil, adds the compile-side metrics.
-func (o *observeOpts) export(p *plan.Program, res *core.Result, config string, st *sim.Stats) {
+// attempt, when non-empty, names the part of the run the collector
+// observed, and the chart and trace output say so.
+func (o *observeOpts) export(p *plan.Program, res *core.Result, config string, st *sim.Stats, attempt string) {
 	o.emitMetrics(p, res, config, st)
+	of := ""
+	if attempt != "" {
+		of = " of the " + attempt
+	}
 	if o.gantt > 0 {
+		if attempt != "" {
+			fmt.Printf("Gantt chart%s:\n", of)
+		}
 		if err := trace.Gantt(os.Stdout, o.col.Events, p.Arch, o.gantt); err != nil {
 			fatal(err)
 		}
@@ -331,7 +340,7 @@ func (o *observeOpts) export(p *plan.Program, res *core.Result, config string, s
 		if err := trace.WriteChrome(f, o.col.Events, p.Arch); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace written to %s (open in chrome://tracing)\n", o.traceOut)
+		fmt.Printf("trace%s written to %s (open in chrome://tracing)\n", of, o.traceOut)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -84,5 +85,33 @@ func TestBitFlipsReportedCLI(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "corrupted stratum") {
 		t.Errorf("flip run reported no corruption:\n%s", out)
+	}
+}
+
+// -trace and -gantt under -faults export the first attempt's events and
+// say so, for a run that completes under drops and for one that a core
+// death degrades.
+func TestFaultedTraceAndGanttCLI(t *testing.T) {
+	bin := buildBinary(t)
+	for _, spec := range []string{"drop=0.02", "kill=1@8000"} {
+		path := filepath.Join(t.TempDir(), "f.json")
+		out, err := exec.Command(bin, "-model", "TinyCNN", "-faults", spec, "-fault-seed", "7",
+			"-trace", path, "-gantt", "60").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", spec, err, out)
+		}
+		for _, want := range []string{"Gantt chart of the first attempt", "legend:", "trace of the first attempt written to"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("%s: output lacks %q:\n%s", spec, want, out)
+			}
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: no trace file: %v", spec, err)
+		}
+		var doc struct{ TraceEvents []json.RawMessage }
+		if err := json.Unmarshal(data, &doc); err != nil || len(doc.TraceEvents) == 0 {
+			t.Errorf("%s: trace file holds no events (%v)", spec, err)
+		}
 	}
 }

@@ -32,7 +32,7 @@ func (k CacheKey) String() string {
 // parameter of the architecture; and every option, slices included.
 // It allocates nothing for the operator kinds package ops defines.
 func Fingerprint(g *graph.Graph, a *arch.Arch, opt Options) CacheKey {
-	return CacheKey{Graph: graphKey(g), Arch: archKey(a), Opt: optKey(opt)}
+	return CacheKey{Graph: graphKey(g), Arch: ArchKey(a), Opt: optKey(opt)}
 }
 
 // graphKey hashes each layer's name, operator and edges as three
@@ -54,7 +54,9 @@ func graphKey(g *graph.Graph) uint64 {
 	return uint64(h)
 }
 
-func archKey(a *arch.Arch) uint64 {
+// ArchKey is the architecture's part of Fingerprint: every platform
+// and core parameter of a, hashed field by field.
+func ArchKey(a *arch.Arch) uint64 {
 	h := newKeyHash().str(a.Name).int(len(a.Cores))
 	for _, c := range a.Cores {
 		h = h.str(c.Name).int(c.MACsPerCycle).float(c.DMABytesPerCycle).
@@ -194,8 +196,10 @@ var (
 // CompileCached is Compile with memoization keyed by Fingerprint. The
 // returned Result shares the cached Program/Plans/Strata (treat them
 // as read-only, which every consumer — simulator, reports, validators
-// — already does) and has CacheHit set when no compile ran. Concurrent calls for the same key may both compile;
-// the results are bit-identical, and the first store wins.
+// — already does), has CacheHit set when no compile ran, and carries
+// the point's Fingerprint as Key. Concurrent calls for the same key may
+// both compile; the results are bit-identical, and the first store
+// wins.
 func CompileCached(g *graph.Graph, a *arch.Arch, opt Options) (*Result, error) {
 	return CompileCachedCtx(nil, g, a, opt)
 }
@@ -218,6 +222,7 @@ func CompileCachedCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Opt
 	if err != nil {
 		return nil, err
 	}
+	res.Key = key
 	v, _ := compileCache.LoadOrStore(key, res)
 	out := *v.(*Result)
 	return &out, nil

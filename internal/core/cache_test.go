@@ -2,12 +2,12 @@ package core
 
 import (
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/graph"
+	"repro/internal/keytest"
 	"repro/internal/models"
 	"repro/internal/ops"
 	"repro/internal/partition"
@@ -119,76 +119,6 @@ func TestCompileCachedDistinguishesPoints(t *testing.T) {
 	}
 }
 
-// leafPaths lists the index path of every scalar reachable from v,
-// descending into struct fields and into slice elements.
-func leafPaths(v reflect.Value, prefix []int) [][]int {
-	switch v.Kind() {
-	case reflect.Struct:
-		var out [][]int
-		for i := 0; i < v.NumField(); i++ {
-			out = append(out, leafPaths(v.Field(i), append(append([]int(nil), prefix...), i))...)
-		}
-		return out
-	case reflect.Slice:
-		var out [][]int
-		for i := 0; i < v.Len(); i++ {
-			out = append(out, leafPaths(v.Index(i), append(append([]int(nil), prefix...), i))...)
-		}
-		return out
-	default:
-		return [][]int{prefix}
-	}
-}
-
-// bump changes the scalar at path inside the addressable value v and
-// returns the path's field names for messages.
-func bump(t *testing.T, v reflect.Value, path []int) string {
-	t.Helper()
-	name := v.Type().Name()
-	for _, i := range path {
-		if v.Kind() == reflect.Slice {
-			v = v.Index(i)
-			name += "[" + strconv.Itoa(i) + "]"
-		} else {
-			name += "." + v.Type().Field(i).Name
-			v = v.Field(i)
-		}
-	}
-	switch v.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(v.Int() + 1)
-	case reflect.Float64:
-		v.SetFloat(v.Float() + 0.5)
-	case reflect.Bool:
-		v.SetBool(!v.Bool())
-	case reflect.String:
-		v.SetString(v.String() + "x")
-	default:
-		t.Fatalf("%s: no perturbation for kind %v", name, v.Kind())
-	}
-	return name
-}
-
-// checkEveryField perturbs each scalar field of fresh() in turn and
-// requires key to change. fresh must return an independent value with
-// every slice non-empty, so slice elements are walked too.
-func checkEveryField[T any](t *testing.T, fresh func() T, key func(T) uint64) {
-	t.Helper()
-	base := fresh()
-	want := key(base)
-	paths := leafPaths(reflect.ValueOf(base), nil)
-	if len(paths) == 0 {
-		t.Fatalf("%T has no fields to perturb", base)
-	}
-	for _, path := range paths {
-		x := fresh()
-		name := bump(t, reflect.ValueOf(&x).Elem(), path)
-		if key(x) == want {
-			t.Errorf("perturbing %s leaves the key unchanged", name)
-		}
-	}
-}
-
 func TestFingerprintCoversOptions(t *testing.T) {
 	fresh := func() Options {
 		o := Stratum()
@@ -197,7 +127,7 @@ func TestFingerprintCoversOptions(t *testing.T) {
 		o.StratumBoundary = []stratum.Boundary{stratum.BoundaryAuto, stratum.BoundaryAuto}
 		return o
 	}
-	checkEveryField(t, fresh, optKey)
+	keytest.CheckEveryField(t, fresh, optKey)
 	// Slices are length-prefixed: dropping an element changes the key.
 	o := fresh()
 	o.ForceMethods = o.ForceMethods[:1]
@@ -208,10 +138,10 @@ func TestFingerprintCoversOptions(t *testing.T) {
 
 func TestFingerprintCoversArch(t *testing.T) {
 	fresh := func() arch.Arch { return *arch.Exynos2100Like() }
-	checkEveryField(t, fresh, func(a arch.Arch) uint64 { return archKey(&a) })
+	keytest.CheckEveryField(t, fresh, func(a arch.Arch) uint64 { return ArchKey(&a) })
 	a := fresh()
 	a.Cores = a.Cores[:2]
-	if archKey(&a) == archKey(arch.Exynos2100Like()) {
+	if ArchKey(&a) == ArchKey(arch.Exynos2100Like()) {
 		t.Error("core count ignored by the arch key")
 	}
 }
@@ -261,10 +191,10 @@ func TestFingerprintCoversOps(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() { opKey(o) }); allocs != 0 {
 			t.Errorf("%v: op key allocates %v times; is its kind missing from keyHash.op?", o.Kind(), allocs)
 		}
-		for _, path := range leafPaths(reflect.ValueOf(o), nil) {
+		for _, path := range keytest.LeafPaths(reflect.ValueOf(o), nil) {
 			v := reflect.New(reflect.TypeOf(o)).Elem()
 			v.Set(reflect.ValueOf(o))
-			name := bump(t, v, path)
+			name := keytest.Bump(t, v, path)
 			if opKey(v.Interface().(ops.Op)) == opKey(o) {
 				t.Errorf("perturbing %s leaves the key unchanged", name)
 			}

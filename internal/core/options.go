@@ -244,6 +244,11 @@ type Result struct {
 	// without compiling. It is exact per call, and the stored entry
 	// never carries it.
 	CacheHit bool
+	// Key is the compilation point's Fingerprint when the Result came
+	// through CompileCached, hit or miss, and the zero CacheKey when it
+	// came from Compile. Callers that memoize work on the program (the
+	// tenancy co-run memo) key on it.
+	Key CacheKey
 
 	// clean is the admission run: the program's fault-free simulation,
 	// shared read-only by every copy of the Result (see Simulate).

@@ -192,9 +192,22 @@ func (p *Program) NumInstrs() int {
 	return n
 }
 
-// Validate checks structural invariants: refs in range, barriers
-// paired on every core exactly once per ID, and the dependency graph
-// (with per-engine program order added) acyclic.
+// UnusedBarriersError reports a program that declares barrier IDs its
+// Barrier instructions never use. Both simulator engines size their
+// barrier state by the declared count, so a loaded artifact could
+// otherwise make every run pay for millions of barriers it never
+// reaches.
+type UnusedBarriersError struct {
+	Declared, Used int
+}
+
+func (e *UnusedBarriersError) Error() string {
+	return fmt.Sprintf("plan: %d barrier IDs declared, %d used", e.Declared, e.Used)
+}
+
+// Validate checks structural invariants: refs in range, every declared
+// barrier ID used and paired on every core exactly once, and the
+// dependency graph (with per-engine program order added) acyclic.
 func (p *Program) Validate() error {
 	ncores := len(p.Cores)
 	if ncores != p.Arch.NumCores() {
@@ -236,6 +249,9 @@ func (p *Program) Validate() error {
 				}
 			}
 		}
+	}
+	if len(rendezvous) != p.NumBarriers {
+		return &UnusedBarriersError{Declared: p.NumBarriers, Used: len(rendezvous)}
 	}
 	for id, r := range rendezvous {
 		for c, n := range arrivals[int(r)*ncores : int(r+1)*ncores] {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"unsafe"
@@ -217,5 +218,14 @@ func TestPackDeps(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Errorf("packed program invalid: %v", err)
+	}
+}
+
+func TestValidateRejectsUnusedBarriers(t *testing.T) {
+	p := tinyProgram()
+	p.NumBarriers = 3
+	var ub *UnusedBarriersError
+	if err := p.Validate(); !errors.As(err, &ub) || ub.Declared != 3 || ub.Used != 1 {
+		t.Errorf("unused barrier IDs accepted: %v", err)
 	}
 }

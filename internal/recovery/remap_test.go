@@ -69,8 +69,9 @@ func TestRemapBitExactVsFreshCompile(t *testing.T) {
 	}
 }
 
-// Preemption path: a checkpoint computed post-hoc from a clean trace
-// (sim.CutAtCycle) remaps exactly like a kill checkpoint does.
+// Preemption path: a checkpoint computed post-hoc from a clean run's
+// per-layer finish cycles (sim.CutAtCycle) remaps exactly like a kill
+// checkpoint does.
 func TestRemapFromTraceCutBitExact(t *testing.T) {
 	g := models.ConvChain(6, 64, 64, 16)
 	a := arch.Exynos2100Like()
@@ -79,12 +80,12 @@ func TestRemapFromTraceCutBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &sim.Recorder{}
-	out, err := res.Simulate(sim.Config{Hook: rec})
+	fin := sim.NewLayerFinish(sim.Whole(res.Program))
+	out, err := res.Simulate(sim.Config{Hook: fin})
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed := sim.CutAtCycle(res.Program, []int{0, 1, 2}, rec.Events, 0.6*out.Stats.TotalCycles)
+	completed := sim.CutAtCycle(res.Program, fin.Finish[0], 0.6*out.Stats.TotalCycles)
 	if len(completed) == 0 {
 		t.Fatal("mid-run cut left no checkpoint")
 	}

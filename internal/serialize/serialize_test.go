@@ -2,7 +2,9 @@ package serialize
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"unsafe"
@@ -156,6 +158,38 @@ func TestLoadRejectsBarrierDeadlock(t *testing.T) {
 	}
 	if _, err := LoadProgram(&buf); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("deadlocking program loaded: %v", err)
+	}
+}
+
+// A program artifact edited to declare barrier IDs it never uses is
+// rejected with a typed error: both engines size barrier state by the
+// declared count, so TinyCNN declaring 2,000,000 barriers took ~50x
+// longer to simulate than the 6 ms the program needs.
+func TestLoadRejectsUnusedBarriers(t *testing.T) {
+	res, err := core.Compile(models.TinyCNN(), arch.Exynos2100Like(), core.Stratum())
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := res.Program.NumBarriers
+	if used == 0 {
+		t.Fatal("TinyCNN +Stratum has no barriers to inflate")
+	}
+	var buf bytes.Buffer
+	if err := SaveProgram(&buf, res.Program); err != nil {
+		t.Fatal(err)
+	}
+	field := regexp.MustCompile(`"num_barriers":\s*\d+`)
+	if n := len(field.FindAll(buf.Bytes(), -1)); n != 1 {
+		t.Fatalf("artifact has %d num_barriers fields, want 1", n)
+	}
+	edited := field.ReplaceAll(buf.Bytes(), []byte(`"num_barriers":2000000`))
+	_, err = LoadProgram(bytes.NewReader(edited))
+	var ub *plan.UnusedBarriersError
+	if !errors.As(err, &ub) || ub.Declared != 2000000 || ub.Used != used {
+		t.Errorf("inflated barrier count loaded: %v, want UnusedBarriersError{2000000, %d}", err, used)
+	}
+	if _, err := LoadProgram(&buf); err != nil {
+		t.Errorf("unedited artifact rejected: %v", err)
 	}
 }
 

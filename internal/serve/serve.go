@@ -199,6 +199,10 @@ type Stats struct {
 
 	CompileCacheHits   int64
 	CompileCacheMisses int64
+	// CoRunMemoHits and CoRunMemoMisses count /tenants co-runs served
+	// from, and simulated into, the tenancy co-run memo.
+	CoRunMemoHits   int64
+	CoRunMemoMisses int64
 
 	Latency metrics.HistogramSnapshot
 }
@@ -303,6 +307,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
 	hits, misses := core.CacheStats()
+	memoHits, memoMisses := tenancy.MemoStats()
 	return Stats{
 		Accepted:           s.accepted.Load(),
 		Rejected:           s.rejected.Load(),
@@ -317,6 +322,8 @@ func (s *Server) Stats() Stats {
 		Draining:           s.draining.Load(),
 		CompileCacheHits:   hits,
 		CompileCacheMisses: misses,
+		CoRunMemoHits:      memoHits,
+		CoRunMemoMisses:    memoMisses,
 		Latency:            s.latency.Snapshot(),
 	}
 }

@@ -108,3 +108,44 @@ func TestTenantsEndpointErrors(t *testing.T) {
 		t.Errorf("GET /tenants: status %d", getResp.StatusCode)
 	}
 }
+
+// The co-run memo shows on /stats: posting the same /tenants body again
+// serves every co-run from the memo, one hit per lookup of the first
+// post and no new misses.
+func TestTenantsStatsCountCoRunMemo(t *testing.T) {
+	srv := httptest.NewServer(New(Options{}).Handler())
+	defer srv.Close()
+
+	stats := func() Stats {
+		resp, err := srv.Client().Get(srv.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	post := func() {
+		resp := postTenants(t, srv,
+			`{"Spec":"m=MobileNetV2:prio=2,s=ShuffleNetV2:arrive=1500","HorizonUS":4000}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	s0 := stats()
+	post()
+	s1 := stats()
+	post()
+	s2 := stats()
+	lookups := s1.CoRunMemoHits + s1.CoRunMemoMisses - s0.CoRunMemoHits - s0.CoRunMemoMisses
+	if lookups == 0 {
+		t.Fatal("first post did not consult the co-run memo")
+	}
+	if hits, misses := s2.CoRunMemoHits-s1.CoRunMemoHits, s2.CoRunMemoMisses-s1.CoRunMemoMisses; hits != lookups || misses != 0 {
+		t.Errorf("second post: %d hits, %d misses; want %d hits, 0 misses", hits, misses, lookups)
+	}
+}

@@ -5,26 +5,65 @@ import (
 	"repro/internal/plan"
 )
 
-// CutAtCycle computes a recovery checkpoint post-hoc from a recorded
-// trace (a Recorder's Events): the longest safe prefix (same cut rule as CoreFailure.Completed
-// — every prefix layer finished all its instructions by the cut, and
-// every prefix output consumed outside the prefix was stored to global
-// memory) considering only events on the given global cores with
-// End <= cut. This is how a scheduler preempts a running placement at a
-// stratum boundary without engine support: simulate with a Recorder
-// as Config.Hook, pick the cut cycle, and resume the suffix from the
-// returned layers.
+// LayerFinish is the Hook a preempting scheduler installs in place of a
+// Recorder: per placement, the latest End among each layer's retired
+// instructions. That is all CutAtCycle needs. A clean run retires every
+// instruction, so a layer has finished all of its instructions by a cut
+// exactly when its latest End is at or before the cut.
+type LayerFinish struct {
+	// Finish[p][l] is placement p's latest End over the instructions of
+	// layer l (in p's graph), 0 when none retired.
+	Finish [][]float64
+}
+
+// NewLayerFinish returns a LayerFinish sized for placements: one row per
+// placement, one entry per layer of its program's graph, all zero.
+func NewLayerFinish(placements []Placement) *LayerFinish {
+	n := 0
+	for _, pl := range placements {
+		n += pl.Program.Graph.Len()
+	}
+	flat := make([]float64, n)
+	f := &LayerFinish{Finish: make([][]float64, len(placements))}
+	for i, pl := range placements {
+		nl := pl.Program.Graph.Len()
+		f.Finish[i], flat = flat[:nl:nl], flat[nl:]
+	}
+	return f
+}
+
+// OnInstr implements Hook.
+func (f *LayerFinish) OnInstr(e Event) {
+	row := f.Finish[e.Placement]
+	if int(e.Layer) < len(row) && e.End > row[e.Layer] {
+		row[e.Layer] = e.End
+	}
+}
+
+// OnBus implements Hook; finish cycles need no bus series.
+func (*LayerFinish) OnBus(BusSample) {}
+
+// CutAtCycle computes a recovery checkpoint post-hoc from a clean run's
+// per-layer finish cycles (one LayerFinish row): the longest safe
+// prefix, by the same cut rule as CoreFailure.Completed — every prefix
+// layer finished all its instructions by the cut, and every prefix
+// output consumed outside the prefix was stored to global memory. A
+// layer counts as finished when its latest End is <= cut. This is how a
+// scheduler preempts a running placement at a stratum boundary without
+// engine support: simulate with a LayerFinish as Config.Hook, pick the
+// cut cycle, and resume the suffix from the returned layers.
 //
-// cores must be the placement's global core set (the cores its trace
-// events carry); p is that placement's program. The returned layer IDs
-// are in p.Graph's coordinates, ready for recovery.SuffixGraph.
-func CutAtCycle(p *plan.Program, cores []int, trace []Event, cut float64) []graph.LayerID {
+// p is the placement's program and finish its row, indexed by p.Graph's
+// layer IDs. The returned layer IDs are in p.Graph's coordinates, ready
+// for recovery.SuffixGraph.
+func CutAtCycle(p *plan.Program, finish []float64, cut float64) []graph.LayerID {
 	nl := p.Graph.Len()
 	done := make([]int, nl)
 	total := make([]int, nl)
 	hasStore := make([]bool, nl)
 	for _, stream := range p.Cores {
-		for _, in := range stream {
+		for i := range stream {
+			in := &stream[i]
 			total[in.Layer]++
 			// Only plan.Store reaches global memory; halo stores land in
 			// a peer's SPM and are lost to a preempted placement exactly
@@ -34,23 +73,9 @@ func CutAtCycle(p *plan.Program, cores []int, trace []Event, cut float64) []grap
 			}
 		}
 	}
-	mine := make([]bool, 0, 8)
-	for _, c := range cores {
-		for c >= len(mine) {
-			mine = append(mine, false)
-		}
-		mine[c] = true
-	}
-	for i := range trace {
-		ev := &trace[i]
-		if ev.Core >= len(mine) || !mine[ev.Core] {
-			continue
-		}
-		if ev.End > cut+eps {
-			continue
-		}
-		if int(ev.Layer) < nl {
-			done[ev.Layer]++
+	for l := range min(nl, len(finish)) {
+		if finish[l] <= cut+eps {
+			done[l] = total[l]
 		}
 	}
 	return checkpoint(p, done, total, hasStore)

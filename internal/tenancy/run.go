@@ -23,9 +23,11 @@ const cycleEps = 1e-6
 // cross-tenant interference the report quantifies against a fault-free
 // isolated run of the same program. Arrivals and departures end the
 // current epoch: in-flight inferences are preempted at the stratum
-// boundary the round trace implies (sim.CutAtCycle), surviving tenants
-// are re-placed (priority first, sticky), and preempted suffixes are
-// re-compiled bit-exactly through recovery.Remap for the new subsets.
+// boundary the round's per-layer finish cycles imply (sim.CutAtCycle),
+// surviving tenants are re-placed (priority first, sticky), and
+// preempted suffixes are re-compiled bit-exactly through recovery.Remap
+// for the new subsets. Clean co-runs are memoized process-wide (see
+// coRunMemo), so a schedule that repeats a co-run simulates it once.
 //
 // Everything is deterministic: same (arch, tenants, options) inputs
 // produce identical reports, byte for byte.
@@ -71,11 +73,6 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 	}
 	times := sortedTimes(timeSet)
 
-	// Preemption cuts need the round trace: every co-run records into
-	// one Recorder, reset per co-run so its capacity is reused.
-	rec := &sim.Recorder{}
-	cfg := opts.Sim
-	cfg.Hook = rec
 	// Isolated baselines are fault-free by construction: interference
 	// must measure bus contention, not injected faults.
 	icfg := sim.Config{Ctx: opts.Sim.Ctx}
@@ -111,18 +108,39 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 		return nil
 	}
 
-	cosim := func(admitted []*tenantState) (*sim.Result, error) {
+	// cosim co-runs the admitted tenants' current programs, recording
+	// each layer's finish cycle for preemption cuts. A clean co-run is
+	// served from the memo when it has run before; a fault plan, a
+	// program from outside the compile cache, or a context already done
+	// (so the engine returns its own cancellation) goes to the engine.
+	cosim := func(admitted []*tenantState) (*coRun, error) {
+		key, memoize := "", false
+		if opts.Sim.Faults.Empty() && (opts.Sim.Ctx == nil || opts.Sim.Ctx.Err() == nil) {
+			key, memoize = coRunKey(a, admitted)
+		}
+		if memoize {
+			if r, ok := memo.get(key); ok {
+				coSims++
+				return r, nil
+			}
+		}
 		placements := make([]sim.Placement, len(admitted))
 		for i, ts := range admitted {
 			placements[i] = sim.Placement{Program: ts.cur.Program, Cores: ts.cores}
 		}
-		rec.Reset()
+		fin := sim.NewLayerFinish(placements)
+		cfg := opts.Sim
+		cfg.Hook = fin
 		out, err := sim.RunConcurrent(a, placements, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("tenancy: co-run: %w", err)
 		}
 		coSims++
-		return out, nil
+		r := &coRun{cycles: out.Stats.ProgramCycles, finish: fin.Finish}
+		if memoize {
+			memo.put(key, r)
+		}
+		return r, nil
 	}
 
 	// account books n inferences of identical per-inference latency,
@@ -159,10 +177,10 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 	}
 
 	// preempt cuts the tenant's in-flight inference at cut cycles into
-	// the round, folding the trace checkpoint into original-graph
-	// coordinates.
-	preempt := func(ts *tenantState, trace []sim.Event, cut float64) {
-		comp := sim.CutAtCycle(ts.cur.Program, ts.cores, trace, cut)
+	// the round, given its placement's per-layer finish cycles, folding
+	// the checkpoint into original-graph coordinates.
+	preempt := func(ts *tenantState, finish []float64, cut float64) {
+		comp := sim.CutAtCycle(ts.cur.Program, finish, cut)
 		if ts.completed == nil {
 			ts.completed = make(map[graph.LayerID]bool, len(comp))
 		}
@@ -194,7 +212,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			l, _ := sim.LossOf(err) // a fatal error cuts at cycle 0
 			return l.AtCycle, err
 		}
-		L1 := out.Stats.ProgramCycles
+		L1 := out.cycles
 		R1 := maxOf(L1)
 		if D < R1-cycleEps {
 			// The next event lands mid-round: count what finished in
@@ -205,7 +223,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 						return D, err
 					}
 				} else {
-					preempt(ts, rec.Events, D)
+					preempt(ts, out.finish[i], D)
 				}
 			}
 			return D, nil
@@ -225,7 +243,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 				l, _ := sim.LossOf(err)
 				return spent + l.AtCycle, err
 			}
-			LS = outS.Stats.ProgramCycles
+			LS = outS.cycles
 		}
 		R := maxOf(LS)
 		if n := int64((D - spent + cycleEps) / R); n > 0 {
@@ -245,7 +263,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 						return D, err
 					}
 				} else {
-					preempt(ts, rec.Events, rem)
+					preempt(ts, outS.finish[i], rem)
 				}
 			}
 		}

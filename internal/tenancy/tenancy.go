@@ -5,8 +5,10 @@
 // cross-tenant interference falls out of the same simulation that
 // produces latencies. Arrivals and departures re-plan the placement;
 // running tenants are preempted at stratum boundaries (sim.CutAtCycle
-// on the round trace) and re-mapped bit-exactly onto their new subsets
-// through recovery.Remap's suffix re-partitioner.
+// on the round's per-layer finish cycles) and re-mapped bit-exactly
+// onto their new subsets through recovery.Remap's suffix
+// re-partitioner. Clean co-runs are memoized process-wide, keyed by
+// the platform and each placement's compile key and cores.
 package tenancy
 
 import (
@@ -147,8 +149,11 @@ type Options struct {
 	// a meaningful configuration, so presence needs its own bit).
 	OptSet bool
 	// Sim configures every co-simulation: cancellation via Ctx, fault
-	// plans, the watchdog. Its Hook is replaced by the run's own trace
-	// recorder, because preemption cuts need each co-run's trace.
+	// plans, the watchdog. Its Hook is replaced by the run's own
+	// sim.LayerFinish, because preemption cuts need each co-run's
+	// per-layer finish cycles. With no fault plan, co-runs are served
+	// from the process-wide co-run memo when they have run before (see
+	// MemoStats); a non-empty Faults, or a Ctx already done, bypasses it.
 	Sim sim.Config
 }
 
