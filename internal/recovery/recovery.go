@@ -110,128 +110,75 @@ func (r *Result) ReExecutedLayers() int {
 	return n
 }
 
-// SuffixGraph builds the graph of everything not yet completed:
-// original layers outside the completed set keep their operators,
-// while completed producers still feeding the suffix become input
-// pseudo-layers (their outputs sit checkpointed in global memory).
-// The returned map gives each new layer's original ID — needed to
-// reproduce reference numerics (weights and input fills are keyed by
-// original-graph IDs).
+// SuffixGraph builds the graph of everything not yet completed: layers
+// outside the completed set keep their operators, and completed
+// producers still feeding them become ckpt_ inputs (see induced). The
+// returned map gives each new layer's original ID, which reference
+// numerics need (weights and input fills are keyed by it).
 func SuffixGraph(g *graph.Graph, completed []graph.LayerID) (*graph.Graph, map[graph.LayerID]graph.LayerID, error) {
-	done := make(map[graph.LayerID]bool, len(completed))
-	for _, id := range completed {
-		done[id] = true
+	var c Checkpoint
+	c.Fold(g, completed, nil)
+	return c.suffixGraph(g)
+}
+
+// StratumGraph builds the re-execution graph for one corrupted
+// stratum: exactly the given layers keep their operators. This is
+// sound because stratum boundaries publish their outputs to global
+// memory: once the previous stratum's checksum verified, the inputs
+// are DRAM-resident and known-good, so re-running just these layers
+// repairs a silent corruption with a bounded blast radius.
+func StratumGraph(g *graph.Graph, layers []graph.LayerID) (*graph.Graph, map[graph.LayerID]graph.LayerID, error) {
+	keep := make([]bool, g.Len())
+	for _, id := range layers {
+		keep[id] = true
 	}
-	suffix := graph.New(g.Name+"-suffix", g.DType)
+	return induced(g, g.Name+"-stratum", keep)
+}
+
+// induced builds the graph named name from g's kept layers. Each kept
+// non-input layer keeps its operator; each producer it reads that is
+// not kept becomes an input, under its own name for a network input and
+// as ckpt_<name> for an intermediate read from global memory. Inputs
+// appear in the order the rebuilt layers first read them, so a
+// selection always yields the same graph and compile fingerprint.
+func induced(g *graph.Graph, name string, keep []bool) (*graph.Graph, map[graph.LayerID]graph.LayerID, error) {
+	sub := graph.New(name, g.DType)
 	origin := make(map[graph.LayerID]graph.LayerID)
-	idMap := make(map[graph.LayerID]graph.LayerID) // orig -> suffix
-
-	addInput := func(orig *graph.Layer, name string) {
-		nid := suffix.Input(name, orig.OutShape)
-		idMap[orig.ID] = nid
-		origin[nid] = orig.ID
+	idMap := make([]graph.LayerID, g.Len()) // orig -> sub
+	for i := range idMap {
+		idMap[i] = -1
 	}
-
-	var defaultDType = g.DType
 	for _, l := range g.Layers() {
-		// Inputs and checkpointed producers materialize lazily, only
-		// when a suffix layer actually consumes them.
-		if done[l.ID] || l.IsInput() {
+		if !keep[l.ID] || l.IsInput() {
 			continue
 		}
-		for _, pid := range l.Inputs {
-			if _, ok := idMap[pid]; ok {
-				continue
-			}
-			p := g.Layer(pid)
-			switch {
-			case p.IsInput():
-				addInput(p, p.Name)
-			case done[pid]:
-				addInput(p, "ckpt_"+p.Name)
-			default:
-				return nil, nil, fmt.Errorf("recovery: layer %s needs %s, which is neither completed nor in the suffix",
-					l.Name, p.Name)
-			}
-		}
+		// Layer IDs are topological, so a kept producer is already
+		// rebuilt; any other one is read from memory.
 		ins := make([]graph.LayerID, len(l.Inputs))
 		for i, pid := range l.Inputs {
+			if idMap[pid] < 0 {
+				p := g.Layer(pid)
+				in := p.Name
+				if !p.IsInput() {
+					in = "ckpt_" + p.Name
+				}
+				idMap[pid] = sub.Input(in, p.OutShape)
+				origin[idMap[pid]] = pid
+			}
 			ins[i] = idMap[pid]
 		}
 		// Preserve per-layer element types the way graph.Subgraph does.
-		suffix.DType = l.DType
-		nid, err := suffix.Add(l.Name, l.Op, ins...)
-		suffix.DType = defaultDType
+		sub.DType = l.DType
+		nid, err := sub.Add(l.Name, l.Op, ins...)
+		sub.DType = g.DType
 		if err != nil {
 			return nil, nil, fmt.Errorf("recovery: rebuilding %s: %w", l.Name, err)
 		}
 		idMap[l.ID] = nid
 		origin[nid] = l.ID
 	}
-	if suffix.Len() == 0 {
-		return nil, nil, fmt.Errorf("recovery: nothing left to execute (%d layers completed)", len(completed))
-	}
-	return suffix, origin, nil
-}
-
-// StratumGraph builds the re-execution graph for one corrupted
-// stratum: exactly the given layers keep their operators, and every
-// producer outside the set becomes a checkpoint input pseudo-layer.
-// This is sound because stratum boundaries publish their outputs to
-// global memory: once the previous stratum's checksum verified, the
-// inputs are DRAM-resident and known-good, so re-running just these
-// layers repairs a silent corruption with a bounded blast radius.
-// The returned map gives each new layer's original ID, as SuffixGraph.
-func StratumGraph(g *graph.Graph, layers []graph.LayerID) (*graph.Graph, map[graph.LayerID]graph.LayerID, error) {
-	in := make(map[graph.LayerID]bool, len(layers))
-	for _, id := range layers {
-		in[id] = true
-	}
-	sub := graph.New(g.Name+"-stratum", g.DType)
-	origin := make(map[graph.LayerID]graph.LayerID)
-	idMap := make(map[graph.LayerID]graph.LayerID) // orig -> sub
-
-	addInput := func(orig *graph.Layer, name string) {
-		nid := sub.Input(name, orig.OutShape)
-		idMap[orig.ID] = nid
-		origin[nid] = orig.ID
-	}
-
-	defaultDType := g.DType
-	for _, l := range g.Layers() {
-		if !in[l.ID] || l.IsInput() {
-			continue
-		}
-		for _, pid := range l.Inputs {
-			if _, ok := idMap[pid]; ok {
-				continue
-			}
-			p := g.Layer(pid)
-			switch {
-			case p.IsInput():
-				addInput(p, p.Name)
-			case !in[pid]:
-				addInput(p, "ckpt_"+p.Name)
-			default:
-				return nil, nil, fmt.Errorf("recovery: stratum layer %s needs %s before it was rebuilt",
-					l.Name, p.Name)
-			}
-		}
-		ins := make([]graph.LayerID, len(l.Inputs))
-		for i, pid := range l.Inputs {
-			ins[i] = idMap[pid]
-		}
-		sub.DType = l.DType
-		nid, err := sub.Add(l.Name, l.Op, ins...)
-		sub.DType = defaultDType
-		if err != nil {
-			return nil, nil, fmt.Errorf("recovery: rebuilding stratum layer %s: %w", l.Name, err)
-		}
-		idMap[l.ID] = nid
-		origin[nid] = l.ID
-	}
 	if sub.Len() == 0 {
-		return nil, nil, fmt.Errorf("recovery: stratum has no layers to re-execute")
+		return nil, nil, fmt.Errorf("recovery: %s has no layers to execute", name)
 	}
 	return sub, origin, nil
 }
@@ -281,7 +228,7 @@ func Run(res *core.Result, opts Options) (*Result, error) {
 func RecoverFrom(g *graph.Graph, a *arch.Arch, failure error, opts Options) (*Result, error) {
 	r := &Result{}
 	dead := make(map[int]bool)
-	completedSet := make(map[graph.LayerID]bool)
+	var ckpt Checkpoint
 
 	absorb := func(err error, origin map[graph.LayerID]graph.LayerID) bool {
 		l, ok := sim.LossOf(err)
@@ -301,13 +248,7 @@ func RecoverFrom(g *graph.Graph, a *arch.Arch, failure error, opts Options) (*Re
 			dead[c] = true
 		}
 		r.TotalCycles += l.AtCycle + DefaultRedispatchCycles
-		for _, id := range l.Completed {
-			orig := id
-			if origin != nil {
-				orig = origin[id]
-			}
-			completedSet[orig] = true
-		}
+		ckpt.Fold(g, l.Completed, origin)
 		return true
 	}
 	if !absorb(failure, nil) {
@@ -325,18 +266,10 @@ func RecoverFrom(g *graph.Graph, a *arch.Arch, failure error, opts Options) (*Re
 			return nil, fmt.Errorf("recovery: all %d cores dead after %d losses", a.NumCores(), len(r.Failures)+len(r.Hangs))
 		}
 
-		// Completed layers in the original execution order: any stable
-		// topological order works for SuffixGraph; layer-ID order is one.
-		var completed []graph.LayerID
-		for _, l := range g.Layers() {
-			if completedSet[l.ID] {
-				completed = append(completed, l.ID)
-			}
-		}
 		// Remap compiles the suffix through the fingerprint cache, so
 		// repeated failures at the same checkpoint (sweeps, chaos soaks)
 		// compile once, and honors the caller's Sim.Ctx cancellation.
-		rm, err := Remap(opts.Sim.Ctx, g, completed, a, alive, opts.Opt)
+		rm, err := Remap(opts.Sim.Ctx, g, &ckpt, a, alive, opts.Opt)
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +286,7 @@ func RecoverFrom(g *graph.Graph, a *arch.Arch, failure error, opts Options) (*Re
 		}
 
 		r.Survivors = alive
-		r.Completed = completed
+		r.Completed = ckpt.Layers()
 		r.Suffix = suffix
 		r.Origin = origin
 		r.Compiled = res

@@ -22,28 +22,26 @@ type Remapped struct {
 	Origin map[graph.LayerID]graph.LayerID
 	// Compiled is the suffix compiled for the requested subset.
 	Compiled *core.Result
-	// Cores are the global core indices the program targets.
-	Cores []int
 }
 
 // Remap compiles the unexecuted remainder of g — everything outside
-// the completed set, which must be a safe checkpoint (CoreFailure
-// .Completed or sim.CutAtCycle output) — for the given core subset of
-// a. Compilation goes through the fingerprint compile cache: suffix
-// graphs are rebuilt deterministically and fingerprint structurally,
-// so re-mapping the same (graph, checkpoint, subset, options) point
-// twice compiles once and returns bit-identical programs. This is the
-// primitive the tenancy scheduler uses to move surviving tenants when
-// a tenant arrives or departs mid-run, and what the recovery loop uses
-// after a core death.
-func Remap(ctx context.Context, g *graph.Graph, completed []graph.LayerID, a *arch.Arch, cores []int, opt core.Options) (*Remapped, error) {
+// the checkpoint c — for the given core subset of a; an empty
+// checkpoint compiles g itself, with no rebuild. Compilation goes
+// through the fingerprint compile cache: suffix graphs are rebuilt
+// deterministically and fingerprint structurally, so re-mapping the
+// same (graph, checkpoint, subset, options) point twice compiles once
+// and returns bit-identical programs. This is the primitive the
+// tenancy scheduler uses to move surviving tenants when a tenant
+// arrives or departs mid-run, and what the recovery loop uses after a
+// core death.
+func Remap(ctx context.Context, g *graph.Graph, c *Checkpoint, a *arch.Arch, cores []int, opt core.Options) (*Remapped, error) {
 	sub, err := a.Subset(cores)
 	if err != nil {
 		return nil, fmt.Errorf("recovery: remap %s: %w", g.Name, err)
 	}
 	suffix, origin := g, identityOrigin(g)
-	if len(completed) > 0 {
-		suffix, origin, err = SuffixGraph(g, completed)
+	if !c.Empty() {
+		suffix, origin, err = c.suffixGraph(g)
 		if err != nil {
 			return nil, err
 		}
@@ -52,12 +50,7 @@ func Remap(ctx context.Context, g *graph.Graph, completed []graph.LayerID, a *ar
 	if err != nil {
 		return nil, fmt.Errorf("recovery: remapping %s onto %d cores: %w", g.Name, len(cores), err)
 	}
-	return &Remapped{
-		Suffix:   suffix,
-		Origin:   origin,
-		Compiled: res,
-		Cores:    append([]int(nil), cores...),
-	}, nil
+	return &Remapped{Suffix: suffix, Origin: origin, Compiled: res}, nil
 }
 
 // identityOrigin maps a graph onto itself, so callers can treat the

@@ -37,7 +37,7 @@ func TestRemapBitExactVsFreshCompile(t *testing.T) {
 	}
 
 	survivors := []int{0, 1}
-	rm, err := Remap(nil, g, cf.Completed, a, survivors, opt)
+	rm, err := Remap(nil, g, checkpointOf(g, cf.Completed), a, survivors, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRemapFromTraceCutBitExact(t *testing.T) {
 	}
 
 	target := []int{1, 2}
-	rm, err := Remap(nil, g, completed, a, target, opt)
+	rm, err := Remap(nil, g, checkpointOf(g, completed), a, target, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +124,12 @@ func TestRemapHitsCompileCache(t *testing.T) {
 	killAt := 0.6 * cleanCycles(t, g, a, opt)
 	cf := failWith(t, g, a, opt, &fault.Plan{Deaths: []fault.Death{{Core: 0, AtCycle: killAt}}})
 
-	first, err := Remap(nil, g, cf.Completed, a, []int{1, 2}, opt)
+	first, err := Remap(nil, g, checkpointOf(g, cf.Completed), a, []int{1, 2}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits0, misses0 := core.CacheStats()
-	second, err := Remap(nil, g, cf.Completed, a, []int{1, 2}, opt)
+	second, err := Remap(nil, g, checkpointOf(g, cf.Completed), a, []int{1, 2}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,24 +145,13 @@ func TestRemapHitsCompileCache(t *testing.T) {
 	}
 }
 
-// An empty checkpoint remaps the whole network without a suffix
-// rebuild: the original graph compiles for the subset directly.
+// An empty checkpoint — nil, the zero value, or an empty fold —
+// remaps the whole network without a suffix rebuild: the original
+// graph compiles for the subset directly.
 func TestRemapEmptyCheckpointUsesWholeGraph(t *testing.T) {
 	g := models.TinyCNN()
 	a := arch.Exynos2100Like()
 	opt := core.Stratum()
-	rm, err := Remap(nil, g, nil, a, []int{0, 2}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm.Suffix != g {
-		t.Error("empty checkpoint rebuilt the graph")
-	}
-	for _, l := range g.Layers() {
-		if rm.Origin[l.ID] != l.ID {
-			t.Fatalf("origin of layer %d = %d, want identity", l.ID, rm.Origin[l.ID])
-		}
-	}
 	sub, err := a.Subset([]int{0, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +160,24 @@ func TestRemapEmptyCheckpointUsesWholeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(programBytes(t, rm.Compiled), programBytes(t, fresh)) {
-		t.Error("whole-graph remap differs from a fresh compile")
+	var folded Checkpoint
+	folded.Fold(g, nil, nil)
+	for name, c := range map[string]*Checkpoint{"nil": nil, "zero": {}, "empty fold": &folded} {
+		rm, err := Remap(nil, g, c, a, []int{0, 2}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rm.Suffix != g {
+			t.Errorf("%s checkpoint rebuilt the graph", name)
+		}
+		for _, l := range g.Layers() {
+			if rm.Origin[l.ID] != l.ID {
+				t.Fatalf("%s checkpoint: origin of layer %d = %d, want identity", name, l.ID, rm.Origin[l.ID])
+			}
+		}
+		if !bytes.Equal(programBytes(t, rm.Compiled), programBytes(t, fresh)) {
+			t.Errorf("%s checkpoint: whole-graph remap differs from a fresh compile", name)
+		}
 	}
 }
 

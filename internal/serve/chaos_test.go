@@ -160,9 +160,17 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("post-soak response drifted: %v cycles, want %v", rr.TotalCycles, b.clean.TotalCycles)
 	}
 
+	// Handlers of requests their clients abandoned may still be running:
+	// wait, boundedly, for the server to go idle before reading counters
+	// that only balance at rest.
+	deadline := time.Now().Add(10 * time.Second)
 	st := s.Stats()
-	if st.InFlight != 0 || st.Queued != 0 {
-		t.Errorf("idle server reports in-flight %d, queued %d", st.InFlight, st.Queued)
+	for st.InFlight != 0 || st.Queued != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("server not idle 10s after the soak: in-flight %d, queued %d", st.InFlight, st.Queued)
+		}
+		time.Sleep(time.Millisecond)
+		st = s.Stats()
 	}
 	if st.Accepted != st.Completed+st.Failed+st.Canceled {
 		t.Errorf("counters do not balance: %+v", st)
@@ -179,7 +187,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("Shutdown: %v", err)
 	}
 	ts.Close()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > goroutinesBefore+2 {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)

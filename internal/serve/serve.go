@@ -278,8 +278,9 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown stops admissions (new /run requests get 503, /readyz flips
-// to 503) and drains: it returns once every in-flight request has
-// finished or ctx expires. Safe to call more than once.
+// to 503) and drains: it returns once every admitted request has
+// finished executing (and, under ListenAndServe, its reply is written)
+// or ctx expires. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -386,11 +387,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 //	execute            -> success 200, typed failure per errStatus,
 //	                      panic 500 (recovered, logged, process lives)
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
+	w, done, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
-	defer release()
+	defer done()
 
 	req, err := s.decodeRequest(r)
 	if err != nil {
@@ -406,11 +407,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // handleTenants runs a multi-tenant co-scheduling scenario through the
 // same bounded-admission state machine as /run.
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
+	w, done, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
-	defer release()
+	defer done()
 
 	req, err := s.decodeTenantsRequest(r)
 	if err != nil {
@@ -428,18 +429,20 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 // most Concurrency executing plus Queue waiting; beyond that, shed
 // immediately, since a deadline-bound client is better served by a
 // fast 429 than by queueing past its deadline. When ok, the caller
-// must defer release.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+// writes its reply to the returned writer and must defer done, which
+// releases the admission and only then sends the reply: a client that
+// has read its reply never sees its own request still counted.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (reply http.ResponseWriter, done func(), ok bool) {
 	if r.Method != http.MethodPost {
 		writeErr(s, w, http.StatusMethodNotAllowed, "bad_request",
 			fmt.Errorf("use POST"), false, 0)
-		return nil, false
+		return nil, nil, false
 	}
 	if s.draining.Load() {
 		s.rejected.Add(1)
 		writeErr(s, w, http.StatusServiceUnavailable, "draining",
 			errors.New("server is draining"), true, s.retryAfterSeconds())
-		return nil, false
+		return nil, nil, false
 	}
 	if depth := s.queued.Add(1); depth > int64(s.opts.Concurrency+s.opts.Queue) {
 		s.queued.Add(-1)
@@ -447,10 +450,26 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 		writeErr(s, w, http.StatusTooManyRequests, "queue_full",
 			fmt.Errorf("admission queue full (%d executing + %d queued)",
 				s.opts.Concurrency, s.opts.Queue), true, s.retryAfterSeconds())
-		return nil, false
+		return nil, nil, false
 	}
-	return func() { s.queued.Add(-1) }, true
+	held := &heldReply{ResponseWriter: w, code: http.StatusOK}
+	return held, func() {
+		s.queued.Add(-1)
+		w.WriteHeader(held.code)
+		w.Write(held.body.Bytes())
+	}, true
 }
+
+// heldReply holds a reply's status and body; its headers go straight
+// to the underlying writer.
+type heldReply struct {
+	http.ResponseWriter
+	code int
+	body bytes.Buffer
+}
+
+func (h *heldReply) WriteHeader(code int)        { h.code = code }
+func (h *heldReply) Write(p []byte) (int, error) { return h.body.Write(p) }
 
 // elapsedSetter lets serveAdmitted stamp the measured wall time onto
 // response types that report it.
@@ -463,7 +482,7 @@ func (r *RunResponse) setElapsed(d time.Duration) {
 // serveAdmitted finishes an admitted, decoded request: it waits for an
 // execution slot under the request deadline, runs exec, and writes the
 // JSON reply — the execution half of the state machine every POST
-// endpoint shares.
+// endpoint shares. The reply is sent after the slot is free (see admit).
 func (s *Server) serveAdmitted(w http.ResponseWriter, r *http.Request, timeoutMS int, exec func(context.Context) (any, error)) {
 	timeout := s.opts.DefaultTimeout
 	if timeoutMS > 0 {

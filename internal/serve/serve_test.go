@@ -435,3 +435,49 @@ func tinyGraph() *graph.Graph {
 	g.MustAdd("pool", ops.MaxPool2D{KH: 2, KW: 2, StrideH: 2, StrideW: 2}, c1)
 	return g
 }
+
+// statsOnWrite records the server's stats when the reply's first byte
+// goes out, which is the earliest a client can read it.
+type statsOnWrite struct {
+	*httptest.ResponseRecorder
+	s    *Server
+	seen *Stats
+}
+
+func (w *statsOnWrite) Write(p []byte) (int, error) {
+	if w.seen == nil {
+		st := w.s.Stats()
+		w.seen = &st
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// A client that has read its reply must not see its own request still
+// executing or queued: every reply, success or error, goes out only
+// after the request's slot and admission are released.
+func TestReplyWrittenAfterRelease(t *testing.T) {
+	s := New(Options{})
+	for _, c := range []struct {
+		path, body string
+		code       int
+	}{
+		{"/run", `{"Model":"TinyCNN"}`, http.StatusOK},
+		{"/run", `{"Model":"TinyCNN","Faults":"kill=1@5000","Recover":true}`, http.StatusOK},
+		{"/run", `{"Model":"NoSuchNet"}`, http.StatusBadRequest},
+		{"/run", `{"Bogus":1}`, http.StatusBadRequest},
+		{"/tenants", `{"Spec":"kbd=TinyCNN:slo=600","HorizonUS":500}`, http.StatusOK},
+	} {
+		w := &statsOnWrite{ResponseRecorder: httptest.NewRecorder(), s: s}
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if w.Code != c.code {
+			t.Errorf("%s %s: status %d, want %d: %s", c.path, c.body, w.Code, c.code, w.Body)
+			continue
+		}
+		if w.seen == nil {
+			t.Errorf("%s %s: no reply body", c.path, c.body)
+		} else if w.seen.InFlight != 0 || w.seen.Queued != 0 {
+			t.Errorf("%s %s: reply written with in-flight %d, queued %d; want both 0",
+				c.path, c.body, w.seen.InFlight, w.seen.Queued)
+		}
+	}
+}

@@ -55,7 +55,7 @@ func (*LayerFinish) OnBus(BusSample) {}
 //
 // p is the placement's program and finish its row, indexed by p.Graph's
 // layer IDs. The returned layer IDs are in p.Graph's coordinates, ready
-// for recovery.SuffixGraph.
+// to fold into a recovery.Checkpoint.
 func CutAtCycle(p *plan.Program, finish []float64, cut float64) []graph.LayerID {
 	nl := p.Graph.Len()
 	done := make([]int, nl)

@@ -104,7 +104,7 @@ func coRunKey(a *arch.Arch, admitted []*tenantState) (key string, ok bool) {
 	b := make([]byte, 0, 8*(1+len(admitted)*6))
 	b = binary.LittleEndian.AppendUint64(b, core.ArchKey(a))
 	for _, ts := range admitted {
-		k := ts.cur.Key
+		k := ts.run.Compiled.Key
 		if k == (core.CacheKey{}) {
 			return "", false
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/keytest"
+	"repro/internal/recovery"
 	"repro/internal/sim"
 )
 
@@ -197,7 +198,7 @@ func TestMemoKeyCoversInputs(t *testing.T) {
 	key := func(in memoKeyInputs) string {
 		admitted := make([]*tenantState, len(in.Keys))
 		for i := range in.Keys {
-			admitted[i] = &tenantState{cur: &core.Result{Key: in.Keys[i]}, cores: in.Cores[i]}
+			admitted[i] = &tenantState{run: &recovery.Remapped{Compiled: &core.Result{Key: in.Keys[i]}}, cores: in.Cores[i]}
 		}
 		k, ok := coRunKey(&in.Arch, admitted)
 		if !ok {
@@ -214,7 +215,7 @@ func TestMemoKeyCoversInputs(t *testing.T) {
 		t.Error("core subsets are not delimited in the key")
 	}
 	// A program compiled outside the cache has no key: bypass.
-	if _, ok := coRunKey(arch.Exynos2100Like(), []*tenantState{{cur: &core.Result{}, cores: []int{0}}}); ok {
+	if _, ok := coRunKey(arch.Exynos2100Like(), []*tenantState{{run: &recovery.Remapped{Compiled: &core.Result{}}, cores: []int{0}}}); ok {
 		t.Error("a program without a CacheKey was memoized")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/arch"
-	"repro/internal/graph"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 )
@@ -89,7 +88,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 	// baseline is the admission run and coSims counts only co-runs.
 	coSims := 0
 	isolatedOf := func(ts *tenantState) (float64, error) {
-		out, err := ts.cur.Simulate(icfg)
+		out, err := ts.run.Compiled.Simulate(icfg)
 		if err != nil {
 			return 0, fmt.Errorf("tenancy: tenant %s isolated run: %w", ts.spec.Name, err)
 		}
@@ -97,14 +96,11 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 	}
 
 	setProgram := func(ts *tenantState) error {
-		comp := ts.completedList()
-		rm, err := recovery.Remap(opts.Sim.Ctx, ts.g, comp, a, ts.cores, opt)
+		rm, err := recovery.Remap(opts.Sim.Ctx, ts.g, &ts.ckpt, a, ts.cores, opt)
 		if err != nil {
 			return fmt.Errorf("tenancy: tenant %s: %w", ts.spec.Name, err)
 		}
-		ts.cur = rm.Compiled
-		ts.isSuffix = len(comp) > 0
-		ts.origin = rm.Origin
+		ts.run = rm
 		return nil
 	}
 
@@ -126,7 +122,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 		}
 		placements := make([]sim.Placement, len(admitted))
 		for i, ts := range admitted {
-			placements[i] = sim.Placement{Program: ts.cur.Program, Cores: ts.cores}
+			placements[i] = sim.Placement{Program: ts.run.Compiled.Program, Cores: ts.cores}
 		}
 		fin := sim.NewLayerFinish(placements)
 		cfg := opts.Sim
@@ -160,39 +156,33 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 		}
 	}
 
-	// finish completes one inference and, if it was a resumed suffix,
-	// swaps the tenant back to its full program for the next round.
-	finish := func(ts *tenantState, L, latency float64) error {
-		I, err := isolatedOf(ts)
-		if err != nil {
-			return err
-		}
-		account(ts, 1, latency, L, I)
-		ts.completed = nil
-		ts.carried = 0
-		if ts.isSuffix {
-			return setProgram(ts)
+	// settle ends a round rem cycles in. A tenant whose inference fits
+	// (latency L on top of the cycles it carried in) completes it and,
+	// if it ran a resumed suffix, gets its full program back; the rest
+	// are preempted at the cut their placement's per-layer finish cycles
+	// imply, the checkpoint folded into original-graph IDs.
+	settle := func(admitted []*tenantState, out *coRun, rem float64) error {
+		for i, ts := range admitted {
+			L := out.cycles[i]
+			if L > rem+cycleEps {
+				ts.ckpt.Fold(ts.g, sim.CutAtCycle(ts.run.Compiled.Program, out.finish[i], rem), ts.run.Origin)
+				ts.carried += rem
+				ts.preempts++
+				continue
+			}
+			I, err := isolatedOf(ts)
+			if err != nil {
+				return err
+			}
+			account(ts, 1, ts.carried+L, L, I)
+			ts.ckpt, ts.carried = recovery.Checkpoint{}, 0
+			if ts.run.Suffix != ts.g {
+				if err := setProgram(ts); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
-	}
-
-	// preempt cuts the tenant's in-flight inference at cut cycles into
-	// the round, given its placement's per-layer finish cycles, folding
-	// the checkpoint into original-graph coordinates.
-	preempt := func(ts *tenantState, finish []float64, cut float64) {
-		comp := sim.CutAtCycle(ts.cur.Program, finish, cut)
-		if ts.completed == nil {
-			ts.completed = make(map[graph.LayerID]bool, len(comp))
-		}
-		for _, id := range comp {
-			orig := id
-			if ts.isSuffix {
-				orig = ts.origin[id]
-			}
-			ts.completed[orig] = true
-		}
-		ts.carried += cut
-		ts.preempts++
 	}
 
 	// runEpoch drives one epoch of duration D and reports the wall
@@ -201,50 +191,31 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 	// the caller's degradation path).
 	runEpoch := func(admitted []*tenantState, D float64) (float64, error) {
 		// Round 1 may mix resumed suffixes with full models.
-		hadSuffix := false
-		for _, ts := range admitted {
-			if ts.isSuffix {
-				hadSuffix = true
-			}
-		}
+		hadSuffix := slices.ContainsFunc(admitted, func(ts *tenantState) bool { return ts.run.Suffix != ts.g })
 		out, err := cosim(admitted)
 		if err != nil {
 			l, _ := sim.LossOf(err) // a fatal error cuts at cycle 0
 			return l.AtCycle, err
 		}
-		L1 := out.cycles
-		R1 := maxOf(L1)
-		if D < R1-cycleEps {
-			// The next event lands mid-round: count what finished in
-			// time, cut the rest at the boundary.
-			for i, ts := range admitted {
-				if L1[i] <= D+cycleEps {
-					if err := finish(ts, L1[i], ts.carried+L1[i]); err != nil {
-						return D, err
-					}
-				} else {
-					preempt(ts, out.finish[i], D)
-				}
-			}
+		// When the next event lands mid-round, what finished in time
+		// counts and the rest is cut at the boundary.
+		if err := settle(admitted, out, D); err != nil {
+			return D, err
+		}
+		spent := maxOf(out.cycles)
+		if D < spent-cycleEps {
 			return D, nil
 		}
-		for i, ts := range admitted {
-			if err := finish(ts, L1[i], ts.carried+L1[i]); err != nil {
-				return R1, err
-			}
-		}
-		spent := R1
 
-		// Steady state: every tenant on its full model. Identical to
-		// round 1 unless a suffix ran there.
-		outS, LS := out, L1
+		// Steady state: every tenant on its full model, having carried
+		// nothing over. Identical to round 1 unless a suffix ran there.
 		if hadSuffix {
-			if outS, err = cosim(admitted); err != nil {
+			if out, err = cosim(admitted); err != nil {
 				l, _ := sim.LossOf(err)
 				return spent + l.AtCycle, err
 			}
-			LS = outS.cycles
 		}
+		LS := out.cycles
 		R := maxOf(LS)
 		if n := int64((D - spent + cycleEps) / R); n > 0 {
 			for i, ts := range admitted {
@@ -257,15 +228,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			spent += float64(n) * R
 		}
 		if rem := D - spent; rem > cycleEps {
-			for i, ts := range admitted {
-				if LS[i] <= rem+cycleEps {
-					if err := finish(ts, LS[i], LS[i]); err != nil {
-						return D, err
-					}
-				} else {
-					preempt(ts, outS.finish[i], rem)
-				}
-			}
+			return D, settle(admitted, out, rem)
 		}
 		return D, nil
 	}
@@ -302,7 +265,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			in := at <= now+cycleEps && (ts.spec.DepartUS <= 0 || dt > now+cycleEps)
 			if ts.active && !in {
 				// Departure: in-flight work leaves with the tenant.
-				ts.cores, ts.completed, ts.carried, ts.cur = nil, nil, 0, nil
+				ts.cores, ts.ckpt, ts.carried, ts.run = nil, recovery.Checkpoint{}, 0, nil
 			}
 			ts.active = in
 			if in {
@@ -344,17 +307,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 				}
 				failureLog = append(failureLog, err.Error())
 				if pi := loss.Placement; pi >= 0 && pi < len(admitted) {
-					ts := admitted[pi]
-					if ts.completed == nil {
-						ts.completed = make(map[graph.LayerID]bool, len(loss.Completed))
-					}
-					for _, id := range loss.Completed {
-						orig := id
-						if ts.isSuffix {
-							orig = ts.origin[id]
-						}
-						ts.completed[orig] = true
-					}
+					admitted[pi].ckpt.Fold(admitted[pi].g, loss.Completed, admitted[pi].run.Origin)
 				}
 				for _, ts := range admitted {
 					ts.carried += loss.AtCycle

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/models"
+	"repro/internal/recovery"
 	"repro/internal/sim"
 )
 
@@ -190,23 +191,19 @@ type tenantState struct {
 	index int // spec order, final tie-break
 	g     *graph.Graph
 
-	active   bool
-	admitted bool    // ever held cores
-	firstUS  float64 // first admission time
+	active  bool
+	firstUS float64 // first admission time
 
 	cores []int // current subset; nil when not placed
 
 	// In-flight inference checkpoint, original-graph coordinates, plus
 	// the cycles already spent on it in earlier epochs.
-	completed map[graph.LayerID]bool
-	carried   float64
+	ckpt    recovery.Checkpoint
+	carried float64
 
-	// cur is the program the next round runs (a suffix when resuming a
-	// preempted inference, the full model otherwise); origin maps its
-	// layers back to g when it is a suffix.
-	cur      *core.Result
-	isSuffix bool
-	origin   map[graph.LayerID]graph.LayerID
+	// run is what the next round runs: the suffix past ckpt when
+	// resuming a preempted inference (run.Suffix != g), else g itself.
+	run *recovery.Remapped
 
 	// Accounting.
 	infs, hits         int64
@@ -214,21 +211,6 @@ type tenantState struct {
 	wIsolated, wInterf float64 // inference-weighted sums
 	weight             float64
 	remaps, preempts   int
-}
-
-// completedList materializes the checkpoint set in the original
-// graph's layer order — the stable order recovery.SuffixGraph expects.
-func (ts *tenantState) completedList() []graph.LayerID {
-	if len(ts.completed) == 0 {
-		return nil
-	}
-	var out []graph.LayerID
-	for _, l := range ts.g.Layers() {
-		if ts.completed[l.ID] {
-			out = append(out, l.ID)
-		}
-	}
-	return out
 }
 
 // coreRank orders a's core indices fastest-first (DMA bandwidth, then

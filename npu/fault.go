@@ -60,8 +60,9 @@ type FaultReport struct {
 	Hangs []*HangDetected
 	// Corruptions lists the strata whose boundary checksums caught
 	// flipped DMA payloads during the (final) run. The run still
-	// completes; repair re-executes just these strata (see
-	// recovery.StratumGraph).
+	// completes; repair re-executes just these strata from their
+	// DRAM-resident inputs, through the subgraph builder core-loss
+	// recovery resumes with (see recovery.StratumGraph).
 	Corruptions []Corruption
 	// Recovery is the degradation path taken, nil if no core was lost.
 	Recovery *RecoveryResult
