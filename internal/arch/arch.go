@@ -117,11 +117,6 @@ func (a *Arch) Validate() error {
 	return nil
 }
 
-// CyclesToMicros converts a cycle count to microseconds.
-func (a *Arch) CyclesToMicros(cycles int64) float64 {
-	return float64(cycles) / float64(a.ClockMHz)
-}
-
 // MicrosToCycles converts microseconds to cycles.
 func (a *Arch) MicrosToCycles(us float64) int64 {
 	return int64(us * float64(a.ClockMHz))

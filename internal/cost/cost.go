@@ -62,18 +62,6 @@ func (m *Model) SyncCycles(n int) int64 {
 	return m.Arch.SyncCost(n) + m.Arch.SyncJitterCycles/2
 }
 
-// LayerTimeOnCore estimates the time for one core to process a
-// sub-layer with the given compute and traffic, assuming DMA overlaps
-// compute (pipelined tiles): the slower of the two engines dominates.
-func (m *Model) LayerTimeOnCore(core int, macs, bytes int64, dt tensor.DType) int64 {
-	c := m.ComputeCycles(core, macs, dt)
-	d := m.DMACycles(core, bytes)
-	if c > d {
-		return c
-	}
-	return d
-}
-
 // BalanceWeights returns per-core partitioning weights for a layer
 // whose work scales along the split axis with macsPerUnit MACs and
 // bytesPerUnit bytes of traffic per unit of the axis. A core's weight

@@ -41,18 +41,6 @@ func TestDMACycles(t *testing.T) {
 	}
 }
 
-func TestLayerTimeOnCoreMax(t *testing.T) {
-	m := model()
-	// Compute-bound: many MACs, no bytes.
-	if got := m.LayerTimeOnCore(0, 1<<24, 0, tensor.Int8); got != m.ComputeCycles(0, 1<<24, tensor.Int8) {
-		t.Errorf("compute-bound time = %d", got)
-	}
-	// Memory-bound: no MACs, many bytes.
-	if got := m.LayerTimeOnCore(0, 0, 1<<24, tensor.Int8); got != m.DMACycles(0, 1<<24) {
-		t.Errorf("memory-bound time = %d", got)
-	}
-}
-
 func TestBalanceWeightsEqualCores(t *testing.T) {
 	m := New(arch.Homogeneous(4))
 	w := m.BalanceWeights(1000, 100, tensor.Int8)

@@ -159,9 +159,6 @@ func TestFig12HaloFirstHidesIdle(t *testing.T) {
 	if !strings.Contains(buf.String(), "halo-first") {
 		t.Error("fig12 print incomplete")
 	}
-	if Fig12Summary(variants) == "" {
-		t.Error("empty summary")
-	}
 }
 
 func TestFig11ShapeMatchesPaper(t *testing.T) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -147,13 +146,4 @@ func normalize(events []sim.Event) []sim.Event {
 		out[i] = ev
 	}
 	return out
-}
-
-// Fig12Summary returns a compact one-line-per-variant comparison.
-func Fig12Summary(variants []Fig12Variant) string {
-	var b strings.Builder
-	for _, v := range variants {
-		fmt.Fprintf(&b, "%-36s exposed idle %.2f us, stem %.1f us\n", v.Name, v.ExposedIdleUS, v.LatencyUS)
-	}
-	return b.String()
 }

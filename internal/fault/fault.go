@@ -339,21 +339,6 @@ func (p *Plan) Timeline(ncores int, buf []TimedEvent) []TimedEvent {
 	return out
 }
 
-// SortedThrottles returns the throttles in AtCycle order (stable for
-// equal cycles), leaving the plan unmodified.
-func (p *Plan) SortedThrottles() []Throttle {
-	out := append([]Throttle(nil), p.Throttles...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].AtCycle < out[j].AtCycle })
-	return out
-}
-
-// SortedDeaths returns the deaths in AtCycle order.
-func (p *Plan) SortedDeaths() []Death {
-	out := append([]Death(nil), p.Deaths...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].AtCycle < out[j].AtCycle })
-	return out
-}
-
 // ParseSpec parses the command-line fault specification: a
 // comma-separated list of clauses
 //

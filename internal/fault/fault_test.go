@@ -130,25 +130,6 @@ func TestBackoffCycles(t *testing.T) {
 	}
 }
 
-func TestSortedEvents(t *testing.T) {
-	p := &Plan{
-		Throttles: []Throttle{{Core: 0, AtCycle: 500, Factor: 0.5}, {Core: 1, AtCycle: 100, Factor: 0.9}},
-		Deaths:    []Death{{Core: 2, AtCycle: 900}, {Core: 0, AtCycle: 200}},
-	}
-	th := p.SortedThrottles()
-	if th[0].AtCycle != 100 || th[1].AtCycle != 500 {
-		t.Errorf("throttles unsorted: %+v", th)
-	}
-	de := p.SortedDeaths()
-	if de[0].AtCycle != 200 || de[1].AtCycle != 900 {
-		t.Errorf("deaths unsorted: %+v", de)
-	}
-	// Original plan untouched.
-	if p.Throttles[0].AtCycle != 500 {
-		t.Error("SortedThrottles mutated the plan")
-	}
-}
-
 func TestTimelineCollidingCycles(t *testing.T) {
 	// Same-cycle events must order by (kind, core) no matter how the
 	// plan lists them: throttles before deaths, then ascending core.

@@ -59,7 +59,7 @@ type TenantPoint struct {
 type TenantsReport struct {
 	Seed      uint64
 	HorizonUS float64
-	// Schedule is the gang-round co-scheduling simulation the service
+	// Schedule is the tenancy co-scheduling simulation the service
 	// times came from.
 	Schedule *tenancy.Report
 	Tenants  []TenantPoint

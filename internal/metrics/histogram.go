@@ -114,8 +114,8 @@ func (d *Dist) Observe(us int64) {
 }
 
 // ObserveN records n identical latencies in whole microseconds — the
-// bulk form of Observe for replay loops that book a whole epoch of
-// equal-period inferences at once (tenancy gang rounds). Equivalent to
+// bulk form of Observe for replay loops that book many equal service
+// times at once (loadgen.RunTenants). Equivalent to
 // calling Observe(us) n times; n <= 0 records nothing.
 func (d *Dist) ObserveN(us, n int64) {
 	if n <= 0 {

@@ -90,16 +90,10 @@ func ByNameMust(name string) *graph.Graph {
 // layers hierarchically.
 type builder struct {
 	g *graph.Graph
-	n int
 }
 
 func newBuilder(name string, dt tensor.DType) *builder {
 	return &builder{g: graph.New(name, dt)}
-}
-
-func (b *builder) uniq(prefix string) string {
-	b.n++
-	return fmt.Sprintf("%s_%d", prefix, b.n)
 }
 
 func (b *builder) input(s tensor.Shape) graph.LayerID {

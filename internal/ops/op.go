@@ -129,18 +129,6 @@ type Op interface {
 	String() string
 }
 
-// Elementwise reports whether op maps each output element from the
-// identically positioned input element(s): its InputRegion is the
-// identity and it never needs halo data.
-func Elementwise(op Op) bool {
-	switch op.Kind() {
-	case KindAdd, KindMul, KindActivation:
-		return true
-	default:
-		return false
-	}
-}
-
 // Input is the graph source pseudo-operator; it has no inputs and
 // produces the externally supplied tensor.
 type Input struct {

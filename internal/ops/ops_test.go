@@ -300,15 +300,6 @@ func TestInputOp(t *testing.T) {
 	}
 }
 
-func TestElementwiseClassification(t *testing.T) {
-	if !Elementwise(Add{Arity: 2}) || !Elementwise(Mul{}) || !Elementwise(Activation{Func: ReLU}) {
-		t.Error("Add/Mul/Activation are elementwise")
-	}
-	if Elementwise(NewConv2D(1, 1, 1, 1, 8, Padding{})) || Elementwise(Concat{Arity: 2}) {
-		t.Error("Conv/Concat are not elementwise")
-	}
-}
-
 func TestKindAndOpStrings(t *testing.T) {
 	pairs := []struct {
 		op   Op

@@ -86,15 +86,6 @@ type SubLayer struct {
 // Empty reports whether the sub-layer has no work.
 func (s SubLayer) Empty() bool { return s.Out.Empty() }
 
-// InBytes returns the total input traffic of the sub-layer at dtype dt.
-func (s SubLayer) InBytes(dt tensor.DType) int64 {
-	var b int64
-	for _, r := range s.In {
-		b += r.Bytes(dt)
-	}
-	return b
-}
-
 // Plan is the partitioning decision for one layer.
 type Plan struct {
 	Layer     graph.LayerID

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/plan"
 )
 
 // Layers writes a per-layer table: operator, output shape, partition
@@ -104,15 +103,4 @@ func DOT(w io.Writer, g *graph.Graph, res *core.Result) error {
 	}
 	_, err := fmt.Fprintln(w, "}")
 	return err
-}
-
-// InstrSummary counts instructions by opcode for one program.
-func InstrSummary(p *plan.Program) map[string]int {
-	m := map[string]int{}
-	for _, stream := range p.Cores {
-		for _, in := range stream {
-			m[in.Op.String()]++
-		}
-	}
-	return m
 }

@@ -78,21 +78,6 @@ func TestDOT(t *testing.T) {
 	}
 }
 
-func TestInstrSummary(t *testing.T) {
-	res := compiled(t)
-	m := InstrSummary(res.Program)
-	if m["comp"] == 0 || m["ld"] == 0 {
-		t.Errorf("summary = %v", m)
-	}
-	total := 0
-	for _, n := range m {
-		total += n
-	}
-	if total != res.Program.NumInstrs() {
-		t.Errorf("summary total %d != %d", total, res.Program.NumInstrs())
-	}
-}
-
 // utilization simulates res with a metrics hook on all of its cores and
 // renders the utilization table.
 func utilization(t *testing.T, res *core.Result, model string) (string, *metrics.Report) {

@@ -175,8 +175,8 @@ type ErrorResponse struct {
 	Error string
 	// Kind classifies the failure: "bad_request", "unfit",
 	// "spm_overflow", "cannot_fit", "core_failure", "hang_detected",
-	// "deadline", "canceled", "queue_full", "draining", "panic",
-	// "internal".
+	// "epoch_too_long", "deadline", "canceled", "queue_full",
+	// "draining", "panic", "internal".
 	Kind string
 	// Retryable hints whether the same request may succeed later.
 	Retryable bool
@@ -774,6 +774,10 @@ func errStatus(err error) (code int, kind string, retryable bool) {
 	var cre *fault.CoreRangeError
 	if errors.As(err, &cre) {
 		return http.StatusBadRequest, "bad_request", false
+	}
+	var long *tenancy.EpochTooLongError
+	if errors.As(err, &long) {
+		return http.StatusUnprocessableEntity, "epoch_too_long", false
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusGatewayTimeout, "deadline", true

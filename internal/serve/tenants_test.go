@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/tenancy"
 )
@@ -106,6 +107,41 @@ func TestTenantsEndpointErrors(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /tenants: status %d", getResp.StatusCode)
+	}
+}
+
+// A horizon past what one co-run may simulate fails fast with a typed
+// 4xx, before the co-run's stream is built: the bound is on the
+// instructions simulated, so a heavy model meets it at a horizon of
+// a few hundred inferences.
+func TestTenantsEndpointRejectsHugeHorizon(t *testing.T) {
+	srv := httptest.NewServer(New(Options{}).Handler())
+	defer srv.Close()
+	for _, c := range []struct{ spec, horizon string }{
+		{"x=TinyCNN", "1e12"},
+		{"i=InceptionV3", "1e6"}, // ~310 inferences of ~5k instructions each
+	} {
+		warm := postTenants(t, srv, `{"Spec":"`+c.spec+`","HorizonUS":100}`) // compile the model
+		warm.Body.Close()
+		if warm.StatusCode != http.StatusOK {
+			t.Fatalf("%s at 100 us: status %d", c.spec, warm.StatusCode)
+		}
+
+		start := time.Now()
+		resp := postTenants(t, srv, `{"Spec":"`+c.spec+`","HorizonUS":`+c.horizon+`}`)
+		elapsed := time.Since(start)
+		var e ErrorResponse
+		err := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || e.Kind != "epoch_too_long" {
+			t.Errorf("%s at %s us: status %d kind %q (%s), want 422 epoch_too_long", c.spec, c.horizon, resp.StatusCode, e.Kind, e.Error)
+		}
+		if elapsed > 100*time.Millisecond {
+			t.Errorf("%s at %s us: rejecting the horizon took %v", c.spec, c.horizon, elapsed)
+		}
 	}
 }
 

@@ -1,57 +1,68 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/graph"
 	"repro/internal/plan"
 )
 
 // LayerFinish is the Hook a preempting scheduler installs in place of a
-// Recorder: per placement, the latest End among each layer's retired
-// instructions. That is all CutAtCycle needs. A clean run retires every
-// instruction, so a layer has finished all of its instructions by a cut
-// exactly when its latest End is at or before the cut.
+// Recorder: per placement, when each layer retired its last
+// instruction. That is all CutAtCycle needs, and it holds for a failed
+// run's prefix as well as for a clean run: a layer whose instructions
+// did not all retire never finishes.
 type LayerFinish struct {
-	// Finish[p][l] is placement p's latest End over the instructions of
-	// layer l (in p's graph), 0 when none retired.
+	// Finish[p][l] is when placement p's layer l (in p's graph) retired
+	// its last instruction: +Inf until then, 0 for a layer with no
+	// instructions.
 	Finish [][]float64
+	left   [][]int32 // instructions of each layer not yet retired
 }
 
 // NewLayerFinish returns a LayerFinish sized for placements: one row per
-// placement, one entry per layer of its program's graph, all zero.
+// placement, one entry per layer of its program's graph.
 func NewLayerFinish(placements []Placement) *LayerFinish {
-	n := 0
-	for _, pl := range placements {
-		n += pl.Program.Graph.Len()
-	}
-	flat := make([]float64, n)
-	f := &LayerFinish{Finish: make([][]float64, len(placements))}
+	f := &LayerFinish{Finish: make([][]float64, len(placements)), left: make([][]int32, len(placements))}
 	for i, pl := range placements {
-		nl := pl.Program.Graph.Len()
-		f.Finish[i], flat = flat[:nl:nl], flat[nl:]
+		f.Finish[i] = make([]float64, pl.Program.Graph.Len())
+		f.left[i] = make([]int32, pl.Program.Graph.Len())
+		for _, stream := range pl.Program.Cores {
+			for k := range stream {
+				f.left[i][stream[k].Layer]++
+			}
+		}
+		for l, k := range f.left[i] {
+			if k > 0 {
+				f.Finish[i][l] = math.Inf(1)
+			}
+		}
 	}
 	return f
 }
 
-// OnInstr implements Hook.
+// OnInstr implements Hook. Instructions retire in End order, so a
+// layer's last one to retire carries its latest End.
 func (f *LayerFinish) OnInstr(e Event) {
-	row := f.Finish[e.Placement]
-	if int(e.Layer) < len(row) && e.End > row[e.Layer] {
-		row[e.Layer] = e.End
+	left := f.left[e.Placement]
+	if left[e.Layer]--; left[e.Layer] == 0 {
+		f.Finish[e.Placement][e.Layer] = e.End
 	}
 }
 
 // OnBus implements Hook; finish cycles need no bus series.
 func (*LayerFinish) OnBus(BusSample) {}
 
-// CutAtCycle computes a recovery checkpoint post-hoc from a clean run's
+// CutAtCycle computes a recovery checkpoint post-hoc from a run's
 // per-layer finish cycles (one LayerFinish row): the longest safe
 // prefix, by the same cut rule as CoreFailure.Completed — every prefix
 // layer finished all its instructions by the cut, and every prefix
-// output consumed outside the prefix was stored to global memory. A
-// layer counts as finished when its latest End is <= cut. This is how a
-// scheduler preempts a running placement at a stratum boundary without
-// engine support: simulate with a LayerFinish as Config.Hook, pick the
-// cut cycle, and resume the suffix from the returned layers.
+// output consumed outside the prefix was stored to global memory. This
+// is how a scheduler preempts a running placement at a stratum
+// boundary without engine support: simulate with a LayerFinish as
+// Config.Hook, pick the cut cycle, and resume the suffix from the
+// returned layers. Cut at a failed run's loss cycle, it yields the
+// checkpoint the engine reports for that placement.
 //
 // p is the placement's program and finish its row, indexed by p.Graph's
 // layer IDs. The returned layer IDs are in p.Graph's coordinates, ready

@@ -119,6 +119,39 @@ func TestCutAtCycleMatchesKillCheckpoint(t *testing.T) {
 	}
 }
 
+// On a failed run, the finish cycles the LayerFinish saw before the loss
+// cut at the loss cycle give the engine's own checkpoint, here for the
+// second element of a stream [p, p] killed mid-way.
+func TestCutAtCycleMatchesFailedStream(t *testing.T) {
+	g := convNet(6)
+	a := arch.Exynos2100Like()
+	res, err := core.Compile(g, a, core.Base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, _, _ := observe(t, a, Whole(res.Program))
+	T := clean.Stats.TotalCycles
+	stream := append(Whole(res.Program), Whole(res.Program)...)
+	for _, frac := range []float64{1.25, 1.5, 1.75} {
+		fin := NewLayerFinish(stream)
+		_, err := RunConcurrent(a, stream, Config{Hook: fin, Faults: &fault.Plan{
+			Deaths: []fault.Death{{Core: 1, AtCycle: frac * T}},
+		}})
+		l, ok := LossOf(err)
+		if !ok || l.Placement != 1 {
+			t.Fatalf("death at %.2f T: loss %+v (%v), want the second element", frac, l, err)
+		}
+		for _, f := range fin.Finish[0] {
+			if f > T {
+				t.Errorf("death at %.2f T: first element has a layer finishing at %v, after %v", frac, f, T)
+			}
+		}
+		if got := CutAtCycle(res.Program, fin.Finish[1], l.AtCycle); !reflect.DeepEqual(got, l.Completed) {
+			t.Errorf("death at %.2f T: CutAtCycle = %v, engine checkpoint = %v", frac, got, l.Completed)
+		}
+	}
+}
+
 func TestCutAtCycleBoundsAndMonotonic(t *testing.T) {
 	g := convNet(5)
 	a := arch.Exynos2100Like()

@@ -3,6 +3,7 @@ package sim_test
 import (
 	. "repro/internal/sim"
 
+	"math"
 	"testing"
 
 	"repro/internal/arch"
@@ -115,9 +116,19 @@ func TestConcurrentRejectsBadPlacements(t *testing.T) {
 	g := models.TinyCNN()
 	p := compileOn(t, g, global, []int{0})
 
-	// Overlapping cores.
-	if _, err := RunConcurrent(global, []Placement{p, p}, Config{}); err == nil {
-		t.Error("overlapping placement accepted")
+	// Partially overlapping cores.
+	wide := compileOn(t, g, global, []int{0, 1})
+	if _, err := RunConcurrent(global, []Placement{p, wide}, Config{}); err == nil {
+		t.Error("partially overlapping placement accepted")
+	}
+	// The same cores in another order overlap partially too.
+	swapped := compileOn(t, g, global, []int{1, 0})
+	if _, err := RunConcurrent(global, []Placement{wide, swapped}, Config{}); err == nil {
+		t.Error("reordered core list accepted as a stream")
+	}
+	// Identical core lists form a stream instead.
+	if _, err := RunConcurrent(global, []Placement{p, p}, Config{}); err != nil {
+		t.Errorf("identical placements rejected: %v", err)
 	}
 	// Out-of-range core.
 	bad := p
@@ -130,6 +141,44 @@ func TestConcurrentRejectsBadPlacements(t *testing.T) {
 	bad2.Cores = []int{0, 1}
 	if _, err := RunConcurrent(global, []Placement{bad2}, Config{}); err == nil {
 		t.Error("width mismatch accepted")
+	}
+}
+
+// A fault-free stream [p, p] runs its second element exactly like the
+// first, started when the first retires: it ends one isolated latency
+// later, and a co-running placement on other cores still runs.
+func TestConcurrentStreamRunsBackToBack(t *testing.T) {
+	global := arch.Exynos2100Like()
+	for _, cores := range [][]int{{0}, {1, 2}, {0, 1, 2}} {
+		p := compileOn(t, models.TinyCNN(), global, cores)
+		alone, err := RunConcurrent(global, []Placement{p}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		L := alone.Stats.ProgramCycles[0]
+		both, err := RunConcurrent(global, []Placement{p, p}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := both.Stats.ProgramCycles
+		if pc[0] != L {
+			t.Errorf("cores %v: first element ends at %v, alone at %v", cores, pc[0], L)
+		}
+		if d := pc[1] - pc[0]; math.Abs(d-L) > 1e-9*L {
+			t.Errorf("cores %v: second element took %v cycles, isolated latency %v", cores, d, L)
+		}
+		if both.Stats.Barriers != 2*alone.Stats.Barriers {
+			t.Errorf("cores %v: %d barriers, want twice %d", cores, both.Stats.Barriers, alone.Stats.Barriers)
+		}
+	}
+	p := compileOn(t, models.TinyCNN(), global, []int{0})
+	q := compileOn(t, models.ConvChain(4, 48, 48, 16), global, []int{1, 2})
+	out, err := RunConcurrent(global, []Placement{p, q, p}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc := out.Stats.ProgramCycles; pc[2] <= pc[0] || pc[1] <= 0 {
+		t.Errorf("interleaved stream finished at %v", pc)
 	}
 }
 

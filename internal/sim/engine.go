@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -199,8 +198,12 @@ type machine struct {
 	bars     []ebarrier
 	barNodes []int32
 
-	owner      []int32 // global core -> placement index (-1 unassigned)
+	owner      []int32 // global core -> last placement on it (-1 unassigned)
 	localIndex []int32 // global core -> placement-local index
+
+	// Streams: each placement's predecessor (see placementOwners), the
+	// (tail, head) join edges gating it, and scratch.
+	after, joins, ends []int32
 
 	// Per-placement layer accounting for checkpoint recovery (fault
 	// runs only), flattened: placement pi's layers occupy
@@ -280,7 +283,10 @@ type machine struct {
 var machinePool = sync.Pool{New: func() any { return new(machine) }}
 
 // RunConcurrent simulates several programs sharing one architecture's
-// cores and bus, using the event-driven engine.
+// cores and bus, using the event-driven engine. Placements on disjoint
+// cores run side by side; placements listing the same cores run back
+// to back as a stream (see Placement), and Stats.ProgramCycles holds
+// each one's completion cycle.
 func RunConcurrent(a *arch.Arch, placements []Placement, cfg Config) (*Result, error) {
 	m := machinePool.Get().(*machine)
 	res, err := m.run(a, placements, cfg)
@@ -328,22 +334,9 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 		m.fs = &m.fsStore
 	}
 
-	// Validate placements: disjoint cores, in range, matching widths.
 	m.owner = resizeFill(m.owner, ncores, -1)
-	for pi, pl := range placements {
-		if len(pl.Cores) != len(pl.Program.Cores) {
-			return nil, fmt.Errorf("sim: placement %d maps %d cores for a %d-core program",
-				pi, len(pl.Cores), len(pl.Program.Cores))
-		}
-		for _, c := range pl.Cores {
-			if c < 0 || c >= ncores {
-				return nil, fmt.Errorf("sim: placement %d core %d out of range", pi, c)
-			}
-			if m.owner[c] >= 0 {
-				return nil, fmt.Errorf("sim: core %d claimed by placements %d and %d", c, m.owner[c], pi)
-			}
-			m.owner[c] = int32(pi)
-		}
+	if m.after, err = placementOwners(placements, m.owner, m.after); err != nil {
+		return nil, err
 	}
 
 	// Global node numbering across placements and their cores.
@@ -419,6 +412,7 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 			}
 		}
 	}
+	m.linkStreams()
 	for ei := 0; ei < ne; ei++ {
 		m.qOff[ei+1] += m.qOff[ei]
 	}
@@ -458,6 +452,11 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 		}
 	}
 	m.readOff[total] = int32(len(m.reads))
+	for i := 0; i < len(m.joins); i += 2 {
+		t := m.joins[i]
+		m.depEdges[m.depCur[t]] = m.joins[i+1]
+		m.depCur[t]++
+	}
 	copy(m.qPos, m.qOff[:ne]) // rewind issue cursors
 
 	// Barriers, flattened.
@@ -1194,9 +1193,66 @@ func (m *machine) checkpointOf(pi int) []graph.LayerID {
 	return checkpoint(m.placements[pi].Program, m.layerDone[lo:hi], m.layerTotal[lo:hi], m.layerStore[lo:hi])
 }
 
+// inFlight returns the earliest element of placement pi's stream that
+// has not retired every instruction (pi outside a stream). It reads the
+// layer accounting, so it serves fault runs only.
+func (m *machine) inFlight(pi int) int {
+	for q := pi; q >= 0 && len(m.after) > 0; q = int(m.after[q]) {
+		lo, hi := m.layerOff[q], m.layerOff[q+1]
+		if !slices.Equal(m.layerDone[lo:hi], m.layerTotal[lo:hi]) {
+			pi = q
+		}
+	}
+	return pi
+}
+
+// linkStreams counts the join edges of every stream into depOff and the
+// heads' dependency counts, and lists them in joins for pass 2 to fill.
+// A placement's first node on each engine of each of its cores waits on
+// its predecessor's last node on each: an engine retires its queue in
+// order, so once those tails retire, the predecessor has retired
+// everything.
+func (m *machine) linkStreams() {
+	m.joins = m.joins[:0]
+	for pi, q := range m.after {
+		if q < 0 {
+			continue
+		}
+		m.ends = m.streamEnds(m.ends[:0], int(q), true)
+		nt := len(m.ends)
+		m.ends = m.streamEnds(m.ends, pi, false)
+		for _, t := range m.ends[:nt] {
+			for _, h := range m.ends[nt:] {
+				m.joins = append(m.joins, t, h)
+				m.depOff[t+1]++
+				m.nodes[h].deps++
+			}
+		}
+	}
+}
+
+// streamEnds appends placement pi's first node (last, with last set) on
+// each engine of each of its cores.
+func (m *machine) streamEnds(out []int32, pi int, last bool) []int32 {
+	for lc, stream := range m.placements[pi].Program.Cores {
+		b := m.baseFlat[int(m.streamStart[pi])+lc]
+		var seen [numEngines]bool
+		for i := range stream {
+			if last {
+				i = len(stream) - 1 - i
+			}
+			if e := stream[i].Op.Engine(); !seen[e] {
+				seen[e] = true
+				out = append(out, b+int32(i))
+			}
+		}
+	}
+	return out
+}
+
 // failCore snapshots the run state into a typed CoreFailure.
 func (m *machine) failCore(kind FailureKind, core int) *CoreFailure {
-	pi := int(m.owner[core])
+	pi := m.inFlight(int(m.owner[core]))
 	return &CoreFailure{
 		Kind: kind, Core: core, Placement: pi, AtCycle: m.now,
 		Completed: m.checkpointOf(pi), Partial: m.partialStats(),
@@ -1249,7 +1305,7 @@ func (m *machine) coreStalled(c int) bool {
 // hangDetected snapshots the run state into a typed HangDetected for
 // the culprits found by scanStalled.
 func (m *machine) hangDetected() *HangDetected {
-	pi := int(m.owner[m.wdCulprits[0]])
+	pi := m.inFlight(int(m.owner[m.wdCulprits[0]]))
 	return &HangDetected{
 		Cores: append([]int(nil), m.wdCulprits...), Placement: pi, AtCycle: m.now,
 		Completed: m.checkpointOf(pi), Partial: m.partialStats(),

@@ -15,11 +15,12 @@ import (
 
 // The tests in this file extend the hand-picked equivalence suite to
 // generated programs: random graphs (randgraph) compiled under every
-// configuration for four architectures, each run under six fault
-// plans. The event engine must return a Result DeepEqual to the
-// reference engine's, corruptions included, or the same typed error,
-// and feed its hook the same events (the prefix before a failure
-// included).
+// configuration for four architectures, each run alone and as a
+// two-element stream [p, p] under six fault plans (for the stream, the
+// plan's events are spread over twice the clean latency). The event
+// engine must return a Result DeepEqual to the reference engine's,
+// corruptions included, or the same typed error, and feed its hook the
+// same events (the prefix before a failure included).
 
 var genConfigs = []core.Options{core.Base(), core.Halo(), core.Stratum()}
 
@@ -81,15 +82,15 @@ func genConfig(name string, faultSeed uint64, T float64) Config {
 	return cfg
 }
 
-// runGenerated runs both engines on prog over all its cores and
-// requires identical outcomes.
-func runGenerated(t *testing.T, prog *plan.Program, cfg Config) (*Result, []Event, error) {
+// runGenerated runs both engines on prog over all its cores, n times
+// back to back as a stream, and requires identical outcomes.
+func runGenerated(t *testing.T, prog *plan.Program, n int, cfg Config) (*Result, []Event, error) {
 	t.Helper()
-	cores := make([]int, prog.Arch.NumCores())
-	for i := range cores {
-		cores[i] = i
+	var stream []Placement
+	for range n {
+		stream = append(stream, Whole(prog)...)
 	}
-	return runBoth(t, prog.Arch, []Placement{{Program: prog, Cores: cores}}, cfg)
+	return runBoth(t, prog.Arch, stream, cfg)
 }
 
 func TestGeneratedEngineEquivalence(t *testing.T) {
@@ -107,33 +108,43 @@ func TestGeneratedEngineEquivalence(t *testing.T) {
 			for _, opt := range genConfigs {
 				prog, T := genProgram(t, seed, a, opt)
 				for _, name := range genPlans {
-					t.Run(fmt.Sprintf("seed%d/%s/%s/%s", seed, a.Name, opt.Name(), name), func(t *testing.T) {
-						res, trace, err := runGenerated(t, prog, genConfig(name, uint64(seed)+1, T))
-						if l, ok := LossOf(err); ok && l.Failure != nil {
-							seen["core failure"] = true
-						} else if ok {
-							seen["hang detected"] = true
+					for n := 1; n <= 2; n++ {
+						sub := fmt.Sprintf("seed%d/%s/%s/%s", seed, a.Name, opt.Name(), name)
+						if n == 2 {
+							sub += "/stream"
 						}
-						if err != nil && len(trace) > 0 {
-							seen["failure prefix"] = true
-						}
-						if res != nil && len(res.Corruptions) > 0 {
-							seen["corruption"] = true
-						}
-						for _, ev := range trace {
-							if ev.Retries > 0 {
-								seen["retry"] = true
+						t.Run(sub, func(t *testing.T) {
+							res, trace, err := runGenerated(t, prog, n, genConfig(name, uint64(seed)+1, float64(n)*T))
+							l, ok := LossOf(err)
+							if ok && l.Failure != nil {
+								seen["core failure"] = true
+							} else if ok {
+								seen["hang detected"] = true
 							}
-							if ev.Op == plan.LoadHalo && a.DirectHaloInterconnect {
-								seen["direct halo"] = true
+							if ok && l.Placement == 1 {
+								seen["stream loss"] = true
 							}
-						}
-					})
+							if err != nil && len(trace) > 0 {
+								seen["failure prefix"] = true
+							}
+							if res != nil && len(res.Corruptions) > 0 {
+								seen["corruption"] = true
+							}
+							for _, ev := range trace {
+								if ev.Retries > 0 {
+									seen["retry"] = true
+								}
+								if ev.Op == plan.LoadHalo && a.DirectHaloInterconnect {
+									seen["direct halo"] = true
+								}
+							}
+						})
+					}
 				}
 			}
 		}
 	}
-	for _, want := range []string{"core failure", "hang detected", "failure prefix", "corruption", "retry", "direct halo"} {
+	for _, want := range []string{"core failure", "hang detected", "failure prefix", "corruption", "retry", "direct halo", "stream loss"} {
 		if !seen[want] {
 			t.Errorf("no generated case produced a %s", want)
 		}
@@ -141,7 +152,9 @@ func TestGeneratedEngineEquivalence(t *testing.T) {
 }
 
 // FuzzEngineMatchesReference searches the same matrix with fuzzed graph
-// and fault seeds. Its seed corpus lives in testdata/fuzz.
+// and fault seeds; planIdx also picks the stream length (1 below
+// len(genPlans), then alternating). Its seed corpus lives in
+// testdata/fuzz.
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint8(0), uint8(0), uint64(1))
 	archs := genArchs()
@@ -149,6 +162,7 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		a := archs[int(archIdx)%len(archs)]
 		opt := genConfigs[int(cfgIdx)%len(genConfigs)]
 		prog, T := genProgram(t, seed, a, opt)
-		runGenerated(t, prog, genConfig(genPlans[int(planIdx)%len(genPlans)], faultSeed, T))
+		n := 1 + int(planIdx)/len(genPlans)%2
+		runGenerated(t, prog, n, genConfig(genPlans[int(planIdx)%len(genPlans)], faultSeed, float64(n)*T))
 	})
 }

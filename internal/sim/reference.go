@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -73,25 +72,13 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 		return fs.speed[c]
 	}
 
-	// Validate placements: disjoint cores, in range, matching widths.
-	owner := make([]int, ncores)
+	owner := make([]int32, ncores)
 	for i := range owner {
 		owner[i] = -1
 	}
-	for pi, pl := range placements {
-		if len(pl.Cores) != len(pl.Program.Cores) {
-			return nil, fmt.Errorf("sim: placement %d maps %d cores for a %d-core program",
-				pi, len(pl.Cores), len(pl.Program.Cores))
-		}
-		for _, c := range pl.Cores {
-			if c < 0 || c >= ncores {
-				return nil, fmt.Errorf("sim: placement %d core %d out of range", pi, c)
-			}
-			if owner[c] >= 0 {
-				return nil, fmt.Errorf("sim: core %d claimed by placements %d and %d", c, owner[c], pi)
-			}
-			owner[c] = pi
-		}
+	after, err := placementOwners(placements, owner, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	// Global node numbering across placements and their cores.
@@ -105,6 +92,7 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 		}
 	}
 	nodes := make([]node, total)
+	left := make([]int, len(placements)) // instructions not yet retired
 	dependents := make([][]int32, total)
 	coreOf := make([]int, total)  // global core
 	progOf := make([]int, total)  // placement index
@@ -130,6 +118,7 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 				coreOf[n] = gcore
 				progOf[n] = pi
 				indexOf[n] = i
+				left[pi]++
 				for _, d := range in.Deps {
 					dependents[id(d)] = append(dependents[id(d)], int32(n))
 				}
@@ -269,6 +258,21 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 		}
 	}
 
+	// A stream element issues nothing until the one before it has retired
+	// every instruction; on a failure, the element in flight is the
+	// earliest one that has not.
+	gated := func(pi int) bool {
+		return len(after) > 0 && after[pi] >= 0 && left[after[pi]] > 0
+	}
+	inFlight := func(pi int) int {
+		for q := pi; len(after) > 0 && q >= 0; q = int(after[q]) {
+			if left[q] > 0 {
+				pi = q
+			}
+		}
+		return pi
+	}
+
 	now := 0.0
 	completed := 0
 
@@ -276,6 +280,7 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 		n := &nodes[nid]
 		n.done = true
 		completed++
+		left[progOf[nid]]--
 		c := coreOf[nid]
 		st := &stats.PerCore[c]
 		dur := t - n.start
@@ -369,7 +374,7 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 					}
 					nid := es.queue[es.pos]
 					n := &nodes[nid]
-					if n.deps > 0 {
+					if n.deps > 0 || gated(progOf[nid]) {
 						continue
 					}
 					// Issue.
@@ -489,7 +494,7 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 
 	// failCore snapshots the run state into a typed CoreFailure.
 	failCore := func(kind FailureKind, core int) *CoreFailure {
-		pi := owner[core]
+		pi := inFlight(int(owner[core]))
 		return &CoreFailure{
 			Kind: kind, Core: core, Placement: pi, AtCycle: now,
 			Completed: checkpointOf(pi), Partial: partialStats(),
@@ -518,7 +523,7 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 				}
 				continue
 			}
-			if es.pos < len(es.queue) && nodes[es.queue[es.pos]].deps == 0 {
+			if es.pos < len(es.queue) && nodes[es.queue[es.pos]].deps == 0 && !gated(progOf[es.queue[es.pos]]) {
 				return true
 			}
 		}
@@ -627,7 +632,7 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 		beatBarren := false
 		if wdH > 0 && now >= nextBeat-eps {
 			if culprits := scanStalled(); len(culprits) > 0 {
-				pi := owner[culprits[0]]
+				pi := inFlight(int(owner[culprits[0]]))
 				return nil, &HangDetected{
 					Cores: culprits, Placement: pi, AtCycle: now,
 					Completed: checkpointOf(pi), Partial: partialStats(),

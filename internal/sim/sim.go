@@ -31,6 +31,8 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -195,9 +197,51 @@ const eps = 1e-6
 // architecture's cores. Program core i runs on global core Cores[i];
 // the program must have been compiled for an architecture whose core
 // descriptors match (arch.Subset produces one).
+//
+// Placements sharing a core must list exactly the same cores: they
+// form a stream and run back to back in slice order, each issuing
+// nothing until the one before it has retired every instruction. Each
+// keeps its program-local barrier IDs, so draws the same jitter.
 type Placement struct {
 	Program *plan.Program
 	Cores   []int
+}
+
+// placementOwners checks placements (widths, core ranges, disjoint or
+// repeated core lists), fills owner (global core -> last placement on
+// it; the caller fills it with -1) and returns each placement's stream
+// predecessor (-1 for none), reusing after; empty when no core list
+// repeats.
+func placementOwners(placements []Placement, owner, after []int32) ([]int32, error) {
+	after = after[:0]
+	for pi, pl := range placements {
+		if len(pl.Cores) != len(pl.Program.Cores) {
+			return nil, fmt.Errorf("sim: placement %d maps %d cores for a %d-core program",
+				pi, len(pl.Cores), len(pl.Program.Cores))
+		}
+		for i, c := range pl.Cores {
+			if c < 0 || c >= len(owner) {
+				return nil, fmt.Errorf("sim: placement %d core %d out of range", pi, c)
+			}
+			q := owner[c]
+			if q < 0 {
+				owner[c] = int32(pi)
+				continue
+			}
+			if i > 0 || !slices.Equal(placements[q].Cores, pl.Cores) {
+				return nil, fmt.Errorf("sim: core %d claimed by placements %d and %d", c, q, pi)
+			}
+			if len(after) == 0 {
+				after = resizeFill(after, len(placements), -1)
+			}
+			after[pi] = q
+			for _, c := range pl.Cores {
+				owner[c] = int32(pi)
+			}
+			break
+		}
+	}
+	return after, nil
 }
 
 // Run simulates a single program occupying the whole architecture. It

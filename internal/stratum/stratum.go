@@ -73,10 +73,6 @@ func (b Boundary) String() string {
 	}
 }
 
-// Singleton reports whether the stratum holds a single layer (no
-// synchronization was eliminated).
-func (s *Stratum) Singleton() bool { return len(s.Layers) == 1 }
-
 // Builder constructs strata over a scheduled, partitioned graph.
 type Builder struct {
 	Graph *graph.Graph

@@ -139,7 +139,7 @@ func TestSingleCoreNoMerge(t *testing.T) {
 	g := convChain(3)
 	_, strata := build(t, g, arch.SingleCore())
 	for _, s := range strata {
-		if !s.Singleton() {
+		if len(s.Layers) != 1 {
 			t.Errorf("single-core stratum of %d layers; syncs are free, redundancy is not", s.Len())
 		}
 	}

@@ -2,6 +2,7 @@ package tenancy
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -9,23 +10,18 @@ import (
 	"repro/internal/core"
 )
 
-// memoEntries bounds the co-run memo. An entry holds one float per
-// layer of each placement's graph (at most 220 for a Table 2 model), so
-// a full memo of 3-tenant co-runs holds under 6 MB.
-const memoEntries = 1024
+// memoEntries bounds the co-run memo. An entry holds a float per
+// inference retired in the epoch (at most about 19k under
+// maxEpochInstrs: TinyCNN on one core is 54 instructions) and each
+// tenant's checkpoint (at most 220 layer IDs for a Table 2 model), so
+// a full memo holds under 45 MB, under 7 MB of 20 ms epochs.
+const memoEntries = 256
 
-// coRun is what runEpoch reads of one clean co-run: each placement's
-// completion cycle (Stats.ProgramCycles) and its per-layer finish
-// cycles (sim.LayerFinish.Finish, sim.CutAtCycle's input). Memoized
-// values are shared by every hit and must be treated as read-only.
-type coRun struct {
-	cycles []float64
-	finish [][]float64
-}
-
-// coRunMemo maps a clean co-run's structural key to its coRun,
-// process-wide. A clean co-run is a pure function of the platform and
-// of each placement's program and global cores, and every tenancy
+// coRunMemo maps a clean co-run's structural key to what booking reads
+// of it, one streamRun per tenant (shared by every hit: read-only),
+// process-wide. A clean co-run cut at the epoch's end is a pure
+// function of the platform, the epoch, and each stream's programs and
+// global cores, and every tenancy
 // program comes from the compile cache, whose CacheKey names it. The
 // memo holds at most limit entries and evicts the oldest first; limit
 // 0 stores nothing.
@@ -33,7 +29,7 @@ type coRunMemo struct {
 	limit int
 
 	mu   sync.Mutex
-	runs map[string]*coRun
+	runs map[string][]streamRun
 	fifo []string // keys in insertion order, a ring once full; the oldest is at next
 	next int
 
@@ -43,10 +39,10 @@ type coRunMemo struct {
 var memo = newCoRunMemo(memoEntries)
 
 func newCoRunMemo(limit int) *coRunMemo {
-	return &coRunMemo{limit: limit, runs: make(map[string]*coRun)}
+	return &coRunMemo{limit: limit, runs: make(map[string][]streamRun)}
 }
 
-func (m *coRunMemo) get(key string) (*coRun, bool) {
+func (m *coRunMemo) get(key string) ([]streamRun, bool) {
 	m.mu.Lock()
 	r, ok := m.runs[key]
 	m.mu.Unlock()
@@ -58,7 +54,7 @@ func (m *coRunMemo) get(key string) (*coRun, bool) {
 	return r, ok
 }
 
-func (m *coRunMemo) put(key string, r *coRun) {
+func (m *coRunMemo) put(key string, r []streamRun) {
 	if m.limit <= 0 {
 		return
 	}
@@ -95,22 +91,32 @@ func ResetMemo() {
 	memo.misses.Store(0)
 }
 
-// coRunKey is the memo key of co-running the admitted tenants' current
-// programs on a: the arch hash core.Fingerprint uses, then per
-// placement its program's CacheKey and global cores, length-prefixed.
-// ok is false when a program has no CacheKey (it did not come through
-// the compile cache), which bypasses the memo.
-func coRunKey(a *arch.Arch, admitted []*tenantState) (key string, ok bool) {
-	b := make([]byte, 0, 8*(1+len(admitted)*6))
+// coRunKey is the memo key of the admitted tenants' streams co-run for
+// an epoch of D cycles: the arch hash core.Fingerprint uses, D, then
+// per stream the CacheKeys of its resumed suffix (zero for none) and
+// full program, and its global cores, length-prefixed. ok is false
+// when a program has no CacheKey (it did not come through the compile
+// cache), which bypasses the memo.
+func coRunKey(a *arch.Arch, admitted []*tenantState, D float64) (key string, ok bool) {
+	b := make([]byte, 0, 8*(2+len(admitted)*9))
 	b = binary.LittleEndian.AppendUint64(b, core.ArchKey(a))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(D))
 	for _, ts := range admitted {
-		k := ts.run.Compiled.Key
-		if k == (core.CacheKey{}) {
+		var resume core.CacheKey
+		if ts.resume != nil {
+			if resume = ts.resume.Compiled.Key; resume == (core.CacheKey{}) {
+				return "", false
+			}
+		}
+		full := ts.full.Compiled.Key
+		if full == (core.CacheKey{}) {
 			return "", false
 		}
-		b = binary.LittleEndian.AppendUint64(b, k.Graph)
-		b = binary.LittleEndian.AppendUint64(b, k.Arch)
-		b = binary.LittleEndian.AppendUint64(b, k.Opt)
+		for _, k := range []core.CacheKey{resume, full} {
+			b = binary.LittleEndian.AppendUint64(b, k.Graph)
+			b = binary.LittleEndian.AppendUint64(b, k.Arch)
+			b = binary.LittleEndian.AppendUint64(b, k.Opt)
+		}
 		b = binary.LittleEndian.AppendUint64(b, uint64(len(ts.cores)))
 		for _, c := range ts.cores {
 			b = binary.LittleEndian.AppendUint64(b, uint64(c))

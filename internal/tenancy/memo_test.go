@@ -31,6 +31,8 @@ var memoScenarios = []struct {
 	{"co-tenants", "a=ShuffleNetV2:prio=2,b=ShuffleNetV2", 5000, false},
 	{"arrive-depart", "cam=MobileNetV2:prio=2:slo=8000,burst=ShuffleNetV2:prio=3:slo=8000:arrive=3000:depart=9000", 15000, false},
 	{"queue", "t1=TinyCNN:prio=3:depart=4000,t2=TinyCNN:prio=3,t3=TinyCNN:prio=3,late=TinyCNN", 8000, false},
+	{"slo-solo", "p=ShuffleNetV2", 3000, false},
+	{"slo-duo", "p=ShuffleNetV2,q=ShuffleNetV2", 3000, false},
 	{"slo-departure", "p=ShuffleNetV2:slo=700,q=ShuffleNetV2:slo=700:depart=1500", 3000, false},
 	{"base", "b=TinyCNN", 1000, true},
 	{"shape1", "t0=InceptionV3:prio=1:slo=5000,t1=MobileNetV2:prio=2:slo=4000:arrive=5317", 0, false},
@@ -180,27 +182,34 @@ func TestMemoHitStillCancels(t *testing.T) {
 
 // memoKeyInputs is everything the co-run key covers.
 type memoKeyInputs struct {
-	Arch  arch.Arch
-	Keys  []core.CacheKey
-	Cores [][]int
+	Arch    arch.Arch
+	Resume  []core.CacheKey
+	Full    []core.CacheKey
+	Cores   [][]int
+	EpochUS float64
 }
 
 // The key must change with every arch field, every field of each
-// placement's compile key, and each placement's cores.
+// stream's compile keys, its cores, and the epoch length.
 func TestMemoKeyCoversInputs(t *testing.T) {
 	fresh := func() memoKeyInputs {
 		return memoKeyInputs{
-			Arch:  *arch.Exynos2100Like(),
-			Keys:  []core.CacheKey{{Graph: 1, Arch: 2, Opt: 3}, {Graph: 4, Arch: 5, Opt: 6}},
-			Cores: [][]int{{0, 1}, {2}},
+			Arch:    *arch.Exynos2100Like(),
+			Resume:  []core.CacheKey{{Graph: 7, Arch: 8, Opt: 9}, {Graph: 10, Arch: 11, Opt: 12}},
+			Full:    []core.CacheKey{{Graph: 1, Arch: 2, Opt: 3}, {Graph: 4, Arch: 5, Opt: 6}},
+			Cores:   [][]int{{0, 1}, {2}},
+			EpochUS: 2000,
 		}
 	}
+	remapped := func(k core.CacheKey) *recovery.Remapped {
+		return &recovery.Remapped{Compiled: &core.Result{Key: k}}
+	}
 	key := func(in memoKeyInputs) string {
-		admitted := make([]*tenantState, len(in.Keys))
-		for i := range in.Keys {
-			admitted[i] = &tenantState{run: &recovery.Remapped{Compiled: &core.Result{Key: in.Keys[i]}}, cores: in.Cores[i]}
+		admitted := make([]*tenantState, len(in.Full))
+		for i := range in.Full {
+			admitted[i] = &tenantState{full: remapped(in.Full[i]), resume: remapped(in.Resume[i]), cores: in.Cores[i]}
 		}
-		k, ok := coRunKey(&in.Arch, admitted)
+		k, ok := coRunKey(&in.Arch, admitted, in.EpochUS)
 		if !ok {
 			t.Fatal("keyed programs bypassed the memo")
 		}
@@ -214,9 +223,23 @@ func TestMemoKeyCoversInputs(t *testing.T) {
 	if key(moved) == key(fresh()) {
 		t.Error("core subsets are not delimited in the key")
 	}
+	// A stream without a resumed suffix differs from every stream with
+	// one.
+	plain := []*tenantState{{full: remapped(core.CacheKey{Graph: 1}), cores: []int{0}}}
+	withSuffix := []*tenantState{{full: remapped(core.CacheKey{Graph: 1}), resume: remapped(core.CacheKey{Graph: 1}), cores: []int{0}}}
+	k1, _ := coRunKey(arch.Exynos2100Like(), plain, 1)
+	k2, _ := coRunKey(arch.Exynos2100Like(), withSuffix, 1)
+	if k1 == k2 {
+		t.Error("a resumed suffix does not change the key")
+	}
 	// A program compiled outside the cache has no key: bypass.
-	if _, ok := coRunKey(arch.Exynos2100Like(), []*tenantState{{run: &recovery.Remapped{Compiled: &core.Result{}}, cores: []int{0}}}); ok {
-		t.Error("a program without a CacheKey was memoized")
+	for _, ts := range []*tenantState{
+		{full: remapped(core.CacheKey{}), cores: []int{0}},
+		{full: remapped(core.CacheKey{Graph: 1}), resume: remapped(core.CacheKey{}), cores: []int{0}},
+	} {
+		if _, ok := coRunKey(arch.Exynos2100Like(), []*tenantState{ts}, 1); ok {
+			t.Error("a program without a CacheKey was memoized")
+		}
 	}
 }
 
@@ -242,7 +265,7 @@ func TestMemoBypassCoversSimConfig(t *testing.T) {
 // takes one slot.
 func TestMemoBounded(t *testing.T) {
 	m := newCoRunMemo(2)
-	r := &coRun{}
+	r := []streamRun{{}}
 	for _, k := range []string{"a", "b", "b", "c", "d"} {
 		m.put(k, r)
 	}

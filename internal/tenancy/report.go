@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/arch"
 )
@@ -27,11 +28,15 @@ type TenantReport struct {
 	// MeanLatencyUS averages completed-inference latency, including
 	// cycles carried across preemptions.
 	MeanLatencyUS float64 `json:"mean_latency_us"`
-	// IsolatedUS is the inference-weighted mean latency the tenant's
+	// IsolatedUS is the mean latency the tenant's completed inferences'
 	// programs achieve alone on their subsets (fault-free baseline).
 	IsolatedUS float64 `json:"isolated_us"`
-	// InterferencePct is the inference-weighted mean co-run slowdown
-	// over the isolated baseline: (shared - isolated)/isolated * 100.
+	// InterferencePct is the mean co-run slowdown of completed
+	// inferences over the isolated baseline:
+	// (shared - isolated)/isolated * 100.
+	//
+	// These three are rounded to 3 decimals, hiding the float rounding a
+	// start cycle adds to an inference's simulated duration.
 	InterferencePct float64 `json:"interference_pct"`
 	// Remaps counts re-targetings onto a different core subset after
 	// admission; Preemptions counts stratum-boundary cuts.
@@ -88,13 +93,11 @@ func buildReport(a *arch.Arch, optName string, horizonUS float64, epochs, coSims
 			Remaps:      ts.remaps,
 			Preemptions: ts.preempts,
 		}
-		if ts.infs > 0 {
-			tr.SLOHitPct = 100 * float64(ts.hits) / float64(ts.infs)
-			tr.MeanLatencyUS = ts.sumLatency / float64(ts.infs) / clock
-		}
-		if ts.weight > 0 {
-			tr.IsolatedUS = ts.wIsolated / ts.weight / clock
-			tr.InterferencePct = ts.wInterf / ts.weight
+		if n := float64(ts.infs); n > 0 {
+			tr.SLOHitPct = 100 * float64(ts.hits) / n
+			tr.MeanLatencyUS = round3(ts.sumLatency / n / clock)
+			tr.IsolatedUS = round3(ts.sumIsolated / n / clock)
+			tr.InterferencePct = round3(ts.sumInterf / n)
 		}
 		if ts.active && ts.cores != nil {
 			tr.FinalCores = ts.cores
@@ -127,4 +130,12 @@ func (r *Report) Print(w io.Writer) {
 			t.Name, t.Model, t.Priority, slo, t.Inferences, t.SLOHitPct,
 			t.MeanLatencyUS, t.IsolatedUS, t.InterferencePct, t.Remaps, t.Preemptions)
 	}
+}
+
+// round3 rounds to 3 decimals, and -0 to 0.
+func round3(v float64) float64 {
+	if r := math.Round(v*1000) / 1000; r != 0 {
+		return r
+	}
+	return 0
 }

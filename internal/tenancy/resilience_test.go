@@ -87,33 +87,58 @@ func TestRunSurvivesHangMidHorizon(t *testing.T) {
 }
 
 // An announced core death takes the same degradation path, and a
-// co-tenant placed on the surviving cores keeps serving through it.
+// co-tenant placed on the surviving cores keeps serving through it:
+// killed early, before anything retires, and killed late, when the
+// co-tenant keeps every inference it finished before the loss.
 func TestRunSurvivesDeathWithCoTenant(t *testing.T) {
 	a := arch.Exynos2100Like()
-	plan, err := fault.ParseSpec("kill=0@2000", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tenants := []Tenant{
 		{Name: "p", Model: "TinyCNN", Priority: 2},
 		{Name: "q", Model: "TinyCNN", Priority: 1},
 	}
-	opts := Options{HorizonUS: 4000, Sim: sim.Config{Faults: plan}}
-	rep, err := Run(a, tenants, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(rep.DeadCores, []int{0}) {
-		t.Fatalf("dead cores %v, want [0]", rep.DeadCores)
-	}
-	for _, tr := range rep.Tenants {
-		if tr.Inferences == 0 {
-			t.Errorf("tenant %s served nothing after the core death", tr.Name)
-		}
-		for _, c := range tr.FinalCores {
-			if c == 0 {
-				t.Errorf("tenant %s still holds dead core 0: %v", tr.Name, tr.FinalCores)
+	for _, c := range []struct {
+		name      string
+		killCycle int
+	}{
+		{"early", 2000},
+		{"late", 2000 * a.ClockMHz}, // 2000 us
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plan, err := fault.ParseSpec(fmt.Sprintf("kill=0@%d", c.killCycle), 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			opts := Options{HorizonUS: 4000, Sim: sim.Config{Faults: plan}}
+			rep, err := Run(a, tenants, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rep.DeadCores, []int{0}) {
+				t.Fatalf("dead cores %v, want [0]", rep.DeadCores)
+			}
+			for _, tr := range rep.Tenants {
+				if tr.Inferences == 0 {
+					t.Errorf("tenant %s served nothing after the core death", tr.Name)
+				}
+				for _, c := range tr.FinalCores {
+					if c == 0 {
+						t.Errorf("tenant %s still holds dead core 0: %v", tr.Name, tr.FinalCores)
+					}
+				}
+			}
+			if c.name != "late" {
+				return
+			}
+			// Up to the loss the faulted run is the clean one: the
+			// co-tenant on a surviving core has finished what a clean
+			// run ending there finishes.
+			before, err := Run(a, tenants, Options{HorizonUS: float64(c.killCycle) / float64(a.ClockMHz)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q, done := rep.Tenants[1], before.Tenants[1].Inferences; done == 0 || q.Inferences <= done {
+				t.Errorf("co-tenant served %d inferences, %d of them before the loss; want those kept and more after", q.Inferences, done)
+			}
+		})
 	}
 }

@@ -1,11 +1,13 @@
 package tenancy
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/arch"
+	"repro/internal/graph"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 )
@@ -13,20 +15,37 @@ import (
 // cycleEps matches the simulator's time-comparison tolerance.
 const cycleEps = 1e-6
 
+// maxEpochInstrs caps the instructions one epoch's co-run simulates,
+// summed over every stream element: the engine builds a node per
+// instruction before it first polls its context. The 20 ms default
+// needs under 170k, even for four TinyCNN tenants on a core each.
+const maxEpochInstrs = 1 << 20
+
+// EpochTooLongError reports an epoch whose co-run would simulate more
+// than maxEpochInstrs instructions.
+type EpochTooLongError struct {
+	EpochUS, Instrs float64 // the epoch, and the instructions it needs
+	Limit           int
+}
+
+func (e *EpochTooLongError) Error() string {
+	return fmt.Sprintf("tenancy: a %.0f us epoch would simulate %.0f instructions, over the limit of %d; shorten the horizon",
+		e.EpochUS, e.Instrs, e.Limit)
+}
+
 // Run simulates the tenants sharing one platform over the horizon and
-// returns per-tenant serving statistics. The schedule is gang-rounded:
-// every admitted tenant runs inferences back-to-back on its core
-// subset, rounds are aligned (a round lasts as long as the slowest
-// tenant's inference), and the bus is shared max–min fair within a
-// round, so each tenant's measured period already includes the
-// cross-tenant interference the report quantifies against a fault-free
-// isolated run of the same program. Arrivals and departures end the
-// current epoch: in-flight inferences are preempted at the stratum
-// boundary the round's per-layer finish cycles imply (sim.CutAtCycle),
-// surviving tenants are re-placed (priority first, sticky), and
-// preempted suffixes are re-compiled bit-exactly through recovery.Remap
-// for the new subsets. Clean co-runs are memoized process-wide (see
-// coRunMemo), so a schedule that repeats a co-run simulates it once.
+// returns per-tenant serving statistics. Arrivals and departures cut
+// the horizon into epochs, and each epoch is one co-run in which every
+// admitted tenant runs inferences back to back on its core subset, a
+// sim.RunConcurrent stream (its preempted inference's suffix first),
+// sharing the bus max–min fair: each inference's latency includes the
+// interference the report measures against a fault-free isolated run
+// of the same program. Inferences retired by the epoch's end are
+// booked at their own durations; the one running is preempted at the
+// stratum boundary its per-layer finish cycles imply (sim.CutAtCycle).
+// Survivors are re-placed (priority first, sticky) and their suffixes
+// re-compiled bit-exactly through recovery.Remap. Clean co-runs are
+// memoized process-wide (see coRunMemo).
 //
 // Everything is deterministic: same (arch, tenants, options) inputs
 // produce identical reports, byte for byte.
@@ -70,7 +89,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			timeSet[dt] = true
 		}
 	}
-	times := sortedTimes(timeSet)
+	times := sortedKeys(timeSet)
 
 	// Isolated baselines are fault-free by construction: interference
 	// must measure bus contention, not injected faults.
@@ -87,157 +106,152 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 	// compiler admitted it for a.Subset(cores), so the isolated
 	// baseline is the admission run and coSims counts only co-runs.
 	coSims := 0
-	isolatedOf := func(ts *tenantState) (float64, error) {
-		out, err := ts.run.Compiled.Simulate(icfg)
+	remap := func(ts *tenantState, c *recovery.Checkpoint) (*recovery.Remapped, float64, error) {
+		rm, err := recovery.Remap(opts.Sim.Ctx, ts.g, c, a, ts.cores, opt)
 		if err != nil {
-			return 0, fmt.Errorf("tenancy: tenant %s isolated run: %w", ts.spec.Name, err)
+			return nil, 0, fmt.Errorf("tenancy: tenant %s: %w", ts.spec.Name, err)
 		}
-		return out.Stats.ProgramCycles[0], nil
+		out, err := rm.Compiled.Simulate(icfg)
+		if err != nil {
+			return nil, 0, fmt.Errorf("tenancy: tenant %s isolated run: %w", ts.spec.Name, err)
+		}
+		return rm, out.Stats.ProgramCycles[0], nil
 	}
 
-	setProgram := func(ts *tenantState) error {
-		rm, err := recovery.Remap(opts.Sim.Ctx, ts.g, &ts.ckpt, a, ts.cores, opt)
-		if err != nil {
-			return fmt.Errorf("tenancy: tenant %s: %w", ts.spec.Name, err)
+	// setPrograms compiles ts's model for its cores and, when it has a
+	// preempted inference, the suffix past its checkpoint, with their
+	// isolated latencies.
+	setPrograms := func(ts *tenantState) (err error) {
+		if ts.full, ts.fullIso, err = remap(ts, nil); err != nil {
+			return err
 		}
-		ts.run = rm
-		return nil
+		ts.resume = nil
+		if !ts.ckpt.Empty() {
+			ts.resume, ts.resumeIso, err = remap(ts, &ts.ckpt)
+		}
+		return err
 	}
 
-	// cosim co-runs the admitted tenants' current programs, recording
-	// each layer's finish cycle for preemption cuts. A clean co-run is
-	// served from the memo when it has run before; a fault plan, a
-	// program from outside the compile cache, or a context already done
-	// (so the engine returns its own cancellation) goes to the engine.
-	cosim := func(admitted []*tenantState) (*coRun, error) {
+	// cosim co-runs the admitted tenants' streams for an epoch of D
+	// cycles and returns what booking reads of each and the cycle they
+	// are cut at: the epoch's end, or a core loss, whose error comes
+	// back with the runs. A clean co-run is served from the memo when it
+	// has run before; a fault plan, a program from outside the compile
+	// cache, or a context already done (so the engine returns its own
+	// cancellation) bypasses it.
+	cosim := func(admitted []*tenantState, D float64) ([]streamRun, float64, error) {
+		// Each stream outlasts the epoch at isolated speed, and
+		// co-running only slows it.
+		counts := make([]int, len(admitted))
+		instrs := 0.0
+		for i, ts := range admitted {
+			full := D
+			if ts.resume != nil {
+				full -= ts.resumeIso
+				counts[i] = 1
+				instrs += float64(ts.resume.Compiled.Program.NumInstrs())
+			}
+			n := math.Floor(max(full, 0)/ts.fullIso) + 1
+			if instrs += n * float64(ts.full.Compiled.Program.NumInstrs()); instrs > maxEpochInstrs {
+				return nil, 0, &EpochTooLongError{EpochUS: D / clock, Instrs: instrs, Limit: maxEpochInstrs}
+			}
+			counts[i] += int(n)
+		}
 		key, memoize := "", false
 		if opts.Sim.Faults.Empty() && (opts.Sim.Ctx == nil || opts.Sim.Ctx.Err() == nil) {
-			key, memoize = coRunKey(a, admitted)
+			key, memoize = coRunKey(a, admitted, D)
 		}
 		if memoize {
 			if r, ok := memo.get(key); ok {
 				coSims++
-				return r, nil
+				return r, D, nil
 			}
 		}
-		placements := make([]sim.Placement, len(admitted))
+		var placements []sim.Placement
 		for i, ts := range admitted {
-			placements[i] = sim.Placement{Program: ts.run.Compiled.Program, Cores: ts.cores}
+			for j := range counts[i] {
+				rm, _ := ts.element(j)
+				placements = append(placements, sim.Placement{Program: rm.Compiled.Program, Cores: ts.cores})
+			}
 		}
 		fin := sim.NewLayerFinish(placements)
 		cfg := opts.Sim
 		cfg.Hook = fin
-		out, err := sim.RunConcurrent(a, placements, cfg)
+		_, err := sim.RunConcurrent(a, placements, cfg)
+		cut := D
+		loss, lost := sim.LossOf(err)
 		if err != nil {
-			return nil, fmt.Errorf("tenancy: co-run: %w", err)
+			err = fmt.Errorf("tenancy: co-run: %w", err)
+			if !lost {
+				return nil, 0, err
+			}
+			cut = loss.AtCycle
 		}
 		coSims++
-		r := &coRun{cycles: out.Stats.ProgramCycles, finish: fin.Finish}
+		runs := make([]streamRun, len(admitted))
+		p := 0
+		for i := range admitted {
+			for j := p; j < p+counts[i]; j++ {
+				if end := slices.Max(fin.Finish[j]); end <= cut+cycleEps {
+					runs[i].ends = append(runs[i].ends, end)
+					continue
+				}
+				runs[i].running = true
+				if lost && j == loss.Placement {
+					runs[i].cut = loss.Completed // the engine's own checkpoint
+				} else {
+					runs[i].cut = sim.CutAtCycle(placements[j].Program, fin.Finish[j], cut)
+				}
+				break
+			}
+			p += counts[i]
+		}
 		if memoize {
-			memo.put(key, r)
+			memo.put(key, runs)
 		}
-		return r, nil
+		return runs, cut, err
 	}
 
-	// account books n inferences of identical per-inference latency,
-	// with interference weighted against the isolated baseline I of the
-	// co-run period L.
-	account := func(ts *tenantState, n int64, latency, L, I float64) {
-		ts.infs += n
-		ts.sumLatency += float64(n) * latency
-		if slo := ts.spec.SLOUS * clock; ts.spec.SLOUS <= 0 || latency <= slo+cycleEps {
-			ts.hits += n
+	// book credits ts with its stream's run up to the cut: each retired
+	// inference at its own duration, the first one plus the cycles ts
+	// carried into the epoch, and the inference still running preempted
+	// at its checkpoint, folded into original-graph IDs.
+	book := func(ts *tenantState, r *streamRun, cut float64) {
+		start := 0.0
+		for j, end := range r.ends {
+			_, I := ts.element(j)
+			L := end - start
+			latency := ts.carried + L
+			ts.infs++
+			ts.sumLatency += latency
+			if ts.spec.SLOUS <= 0 || latency <= ts.spec.SLOUS*clock+cycleEps {
+				ts.hits++
+			}
+			ts.sumIsolated += I
+			ts.sumInterf += (L - I) / I * 100
+			ts.ckpt, ts.carried = recovery.Checkpoint{}, 0
+			start = end
 		}
-		if I > 0 {
-			w := float64(n)
-			ts.weight += w
-			ts.wIsolated += w * I
-			ts.wInterf += w * (L - I) / I * 100
+		if r.running {
+			rm, _ := ts.element(len(r.ends))
+			ts.ckpt.Fold(ts.g, r.cut, rm.Origin)
+			ts.carried += cut - start
+			ts.preempts++
 		}
 	}
 
-	// settle ends a round rem cycles in. A tenant whose inference fits
-	// (latency L on top of the cycles it carried in) completes it and,
-	// if it ran a resumed suffix, gets its full program back; the rest
-	// are preempted at the cut their placement's per-layer finish cycles
-	// imply, the checkpoint folded into original-graph IDs.
-	settle := func(admitted []*tenantState, out *coRun, rem float64) error {
-		for i, ts := range admitted {
-			L := out.cycles[i]
-			if L > rem+cycleEps {
-				ts.ckpt.Fold(ts.g, sim.CutAtCycle(ts.run.Compiled.Program, out.finish[i], rem), ts.run.Origin)
-				ts.carried += rem
-				ts.preempts++
+	// admit places the front of active, in precedence order, counting
+	// re-maps and recompiling every tenant for its (possibly new)
+	// subset. At most one tenant runs per surviving core; the rest
+	// queue, checkpoints intact, until a slot frees.
+	admit := func(active []*tenantState, nowUS float64) ([]*tenantState, error) {
+		admitted := active[:min(len(active), alive())]
+		prev := make([][]int, len(admitted))
+		for i, ts := range active {
+			if i >= len(admitted) {
+				ts.cores = nil
 				continue
 			}
-			I, err := isolatedOf(ts)
-			if err != nil {
-				return err
-			}
-			account(ts, 1, ts.carried+L, L, I)
-			ts.ckpt, ts.carried = recovery.Checkpoint{}, 0
-			if ts.run.Suffix != ts.g {
-				if err := setProgram(ts); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	// runEpoch drives one epoch of duration D and reports the wall
-	// cycles actually consumed: D on success, the cut time when a
-	// co-run dies mid-epoch (the failure's typed error comes back for
-	// the caller's degradation path).
-	runEpoch := func(admitted []*tenantState, D float64) (float64, error) {
-		// Round 1 may mix resumed suffixes with full models.
-		hadSuffix := slices.ContainsFunc(admitted, func(ts *tenantState) bool { return ts.run.Suffix != ts.g })
-		out, err := cosim(admitted)
-		if err != nil {
-			l, _ := sim.LossOf(err) // a fatal error cuts at cycle 0
-			return l.AtCycle, err
-		}
-		// When the next event lands mid-round, what finished in time
-		// counts and the rest is cut at the boundary.
-		if err := settle(admitted, out, D); err != nil {
-			return D, err
-		}
-		spent := maxOf(out.cycles)
-		if D < spent-cycleEps {
-			return D, nil
-		}
-
-		// Steady state: every tenant on its full model, having carried
-		// nothing over. Identical to round 1 unless a suffix ran there.
-		if hadSuffix {
-			if out, err = cosim(admitted); err != nil {
-				l, _ := sim.LossOf(err)
-				return spent + l.AtCycle, err
-			}
-		}
-		LS := out.cycles
-		R := maxOf(LS)
-		if n := int64((D - spent + cycleEps) / R); n > 0 {
-			for i, ts := range admitted {
-				I, err := isolatedOf(ts)
-				if err != nil {
-					return spent, err
-				}
-				account(ts, n, LS[i], LS[i], I)
-			}
-			spent += float64(n) * R
-		}
-		if rem := D - spent; rem > cycleEps {
-			return D, settle(admitted, out, rem)
-		}
-		return D, nil
-	}
-
-	// rePlace assigns cores to the admitted prefix, counting re-maps and
-	// recompiling every tenant for its (possibly new) subset.
-	rePlace := func(admitted []*tenantState, nowUS float64) error {
-		prev := make([][]int, len(admitted))
-		for i, ts := range admitted {
 			prev[i] = ts.cores
 		}
 		place(a, admitted, dead)
@@ -248,11 +262,11 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			if prev[i] != nil && !slices.Equal(prev[i], ts.cores) {
 				ts.remaps++
 			}
-			if err := setProgram(ts); err != nil {
-				return err
+			if err := setPrograms(ts); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return admitted, nil
 	}
 
 	epochs := 0
@@ -265,7 +279,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			in := at <= now+cycleEps && (ts.spec.DepartUS <= 0 || dt > now+cycleEps)
 			if ts.active && !in {
 				// Departure: in-flight work leaves with the tenant.
-				ts.cores, ts.ckpt, ts.carried, ts.run = nil, recovery.Checkpoint{}, 0, nil
+				ts.cores, ts.ckpt, ts.carried, ts.full, ts.resume = nil, recovery.Checkpoint{}, 0, nil, nil
 			}
 			ts.active = in
 			if in {
@@ -273,97 +287,62 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			}
 		}
 		admitOrder(active)
-		admitted := active
-		if len(admitted) > alive() {
-			// Admission control: at most one tenant per surviving core.
-			// The rest queue (checkpoints intact) until a slot frees.
-			for _, ts := range admitted[alive():] {
-				ts.cores = nil
-			}
-			admitted = admitted[:alive()]
-		}
-		if err := rePlace(admitted, now/clock); err != nil {
+		admitted, err := admit(active, now/clock)
+		if err != nil {
 			return nil, err
 		}
-		if len(admitted) > 0 && next-now > cycleEps {
-			remaining := next - now
-			for remaining > cycleEps {
-				spent, err := runEpoch(admitted, remaining)
-				if err == nil {
-					break
-				}
-				loss, ok := sim.LossOf(err)
-				if !ok {
-					return nil, err
-				}
-				// Degradation: retire the dead cores, keep serving on the
-				// survivors. The failed placement resumes from its typed
-				// checkpoint; every other admitted tenant loses its
-				// in-flight round (charged to carried, restarting from its
-				// last own checkpoint) — the co-run died without a trace to
-				// cut from.
-				for _, c := range loss.Cores {
-					dead[c] = true
-				}
-				failureLog = append(failureLog, err.Error())
-				if pi := loss.Placement; pi >= 0 && pi < len(admitted) {
-					admitted[pi].ckpt.Fold(admitted[pi].g, loss.Completed, admitted[pi].run.Origin)
-				}
-				for _, ts := range admitted {
-					ts.carried += loss.AtCycle
-				}
-				remaining -= spent
-				if alive() == 0 {
-					return nil, fmt.Errorf("tenancy: every core lost to faults: %w", err)
-				}
-				if remaining <= cycleEps {
-					break
-				}
-				if len(admitted) > alive() {
-					for _, ts := range admitted[alive():] {
-						ts.cores = nil
-					}
-					admitted = admitted[:alive()]
-				}
-				// Isolated baselines are per-(program, subset); shrinking
-				// subsets recompile, so the cache keys stay valid.
-				if err := rePlace(admitted, now/clock); err != nil {
-					return nil, err
-				}
+		if len(admitted) == 0 || next-now <= cycleEps {
+			continue
+		}
+		for remaining := next - now; remaining > cycleEps; {
+			runs, cut, err := cosim(admitted, remaining)
+			loss, lost := sim.LossOf(err)
+			if err != nil && !lost {
+				return nil, err
 			}
-			epochs++
+			for i, ts := range admitted {
+				book(ts, &runs[i], cut)
+			}
+			if !lost {
+				break
+			}
+			// Degradation: retire the dead cores and keep serving the
+			// rest of the epoch on the survivors, every tenant resuming
+			// from its cut at the loss.
+			for _, c := range loss.Cores {
+				dead[c] = true
+			}
+			failureLog = append(failureLog, err.Error())
+			if alive() == 0 {
+				return nil, fmt.Errorf("tenancy: every core lost to faults: %w", err)
+			}
+			if remaining -= cut; remaining <= cycleEps {
+				break
+			}
+			if admitted, err = admit(admitted, now/clock); err != nil {
+				return nil, err
+			}
 		}
+		epochs++
 	}
-	return buildReport(a, opt.Name(), opts.horizonUS(), epochs, coSims, states, deadList(dead), failureLog), nil
+	return buildReport(a, opt.Name(), opts.horizonUS(), epochs, coSims, states, sortedKeys(dead), failureLog), nil
 }
 
-func deadList(dead map[int]bool) []int {
-	if len(dead) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(dead))
-	for c := range dead {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
+// streamRun is what booking reads of a tenant's stream in a co-run cut
+// at some cycle: each retired element's end cycle, and whether one was
+// still running, with its checkpoint in its program's graph IDs.
+type streamRun struct {
+	ends    []float64
+	running bool
+	cut     []graph.LayerID
 }
 
-func maxOf(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
+// sortedKeys lists set's keys in increasing order (nil when empty).
+func sortedKeys[K cmp.Ordered](set map[K]bool) []K {
+	var out []K
+	for k := range set {
+		out = append(out, k)
 	}
-	return m
-}
-
-func sortedTimes(set map[float64]bool) []float64 {
-	out := make([]float64, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Float64s(out)
+	slices.Sort(out)
 	return out
 }

@@ -1,14 +1,15 @@
 // Package tenancy implements a multi-tenant serving scheduler above
 // the concurrent simulator: tenants are admitted as (model, priority,
 // SLO) tuples, mapped onto disjoint core subsets of one platform, and
-// co-scheduled in gang rounds against the max–min-fair bus model, so
-// cross-tenant interference falls out of the same simulation that
-// produces latencies. Arrivals and departures re-plan the placement;
-// running tenants are preempted at stratum boundaries (sim.CutAtCycle
-// on the round's per-layer finish cycles) and re-mapped bit-exactly
-// onto their new subsets through recovery.Remap's suffix
-// re-partitioner. Clean co-runs are memoized process-wide, keyed by
-// the platform and each placement's compile key and cores.
+// each runs inferences back to back on its subset, a stream in one
+// co-run per epoch against the max–min-fair bus model, so cross-tenant
+// interference falls out of the same simulation that produces
+// latencies. Arrivals and departures re-plan the placement; running
+// tenants are preempted at stratum boundaries (sim.CutAtCycle on the
+// co-run's per-layer finish cycles) and re-mapped bit-exactly onto
+// their new subsets through recovery.Remap's suffix re-partitioner.
+// Clean co-runs are memoized process-wide, keyed by the platform, each
+// stream's compile keys and cores, and the epoch's length.
 package tenancy
 
 import (
@@ -89,38 +90,23 @@ func ParseSpec(spec string) ([]Tenant, error) {
 			return nil, fmt.Errorf("tenancy: %q: want name=Model first", entry)
 		}
 		t := Tenant{Name: strings.TrimSpace(name), Model: strings.TrimSpace(model), Priority: 1}
+		floats := map[string]*float64{"slo": &t.SLOUS, "arrive": &t.ArriveUS, "depart": &t.DepartUS}
 		for _, f := range fields[1:] {
 			k, v, ok := strings.Cut(f, "=")
 			if !ok {
 				return nil, fmt.Errorf("tenancy: %q: field %q is not key=value", entry, f)
 			}
-			switch strings.TrimSpace(k) {
-			case "prio":
-				n, err := strconv.Atoi(strings.TrimSpace(v))
-				if err != nil {
-					return nil, fmt.Errorf("tenancy: %q: prio: %w", entry, err)
-				}
-				t.Priority = n
-			case "slo":
-				x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-				if err != nil {
-					return nil, fmt.Errorf("tenancy: %q: slo: %w", entry, err)
-				}
-				t.SLOUS = x
-			case "arrive":
-				x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-				if err != nil {
-					return nil, fmt.Errorf("tenancy: %q: arrive: %w", entry, err)
-				}
-				t.ArriveUS = x
-			case "depart":
-				x, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-				if err != nil {
-					return nil, fmt.Errorf("tenancy: %q: depart: %w", entry, err)
-				}
-				t.DepartUS = x
-			default:
+			k, v = strings.TrimSpace(k), strings.TrimSpace(v)
+			var err error
+			if x := floats[k]; x != nil {
+				*x, err = strconv.ParseFloat(v, 64)
+			} else if k == "prio" {
+				t.Priority, err = strconv.Atoi(v)
+			} else {
 				return nil, fmt.Errorf("tenancy: %q: unknown key %q", entry, k)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("tenancy: %q: %s: %w", entry, k, err)
 			}
 		}
 		if err := t.Validate(); err != nil {
@@ -201,16 +187,26 @@ type tenantState struct {
 	ckpt    recovery.Checkpoint
 	carried float64
 
-	// run is what the next round runs: the suffix past ckpt when
-	// resuming a preempted inference (run.Suffix != g), else g itself.
-	run *recovery.Remapped
+	// full is g compiled for cores; resume, when ckpt is not empty, is
+	// the suffix past it, which the next epoch's stream runs first.
+	// Each comes with its isolated latency (cycles).
+	full, resume       *recovery.Remapped
+	fullIso, resumeIso float64
 
-	// Accounting.
-	infs, hits         int64
-	sumLatency         float64 // cycles, completed inferences
-	wIsolated, wInterf float64 // inference-weighted sums
-	weight             float64
-	remaps, preempts   int
+	// Accounting, summed over completed inferences: latency (cycles),
+	// isolated latency (cycles) and interference (%).
+	infs, hits                         int64
+	sumLatency, sumIsolated, sumInterf float64
+	remaps, preempts                   int
+}
+
+// element returns the j-th program of ts's stream and its isolated
+// latency: the resumed suffix first when there is one, then full.
+func (ts *tenantState) element(j int) (*recovery.Remapped, float64) {
+	if j == 0 && ts.resume != nil {
+		return ts.resume, ts.resumeIso
+	}
+	return ts.full, ts.fullIso
 }
 
 // coreRank orders a's core indices fastest-first (DMA bandwidth, then

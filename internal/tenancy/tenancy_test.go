@@ -2,12 +2,15 @@ package tenancy
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -96,6 +99,22 @@ func TestRunSingleTenantNoInterference(t *testing.T) {
 	tr := rep.Tenants[0]
 	if tr.Inferences <= 1 {
 		t.Fatalf("2 ms horizon fit only %d TinyCNN inferences", tr.Inferences)
+	}
+	// Back to back, the horizon fits floor(H/L) isolated latencies.
+	g, err := buildModel("TinyCNN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.CompileCached(g, a, core.Stratum())
+	if err != nil {
+		t.Fatal(err)
+	}
+	iso, err := res.Simulate(sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(2000 * float64(a.ClockMHz) / iso.Stats.TotalCycles); tr.Inferences != want {
+		t.Errorf("%d inferences in 2 ms, want floor(H/L) = %d", tr.Inferences, want)
 	}
 	// No SLO declared: everything counts as a hit.
 	if tr.SLOHitPct != 100 {
@@ -263,6 +282,21 @@ func TestRunSLOAccounting(t *testing.T) {
 	}
 	if p.SLOHitPct <= 0 || p.SLOHitPct >= 100 {
 		t.Errorf("hit rate %.1f%%, want strictly between 0 and 100", p.SLOHitPct)
+	}
+}
+
+// An epoch whose co-run would exceed the instruction cap fails with a typed
+// error before its stream is built.
+func TestRunRejectsHugeEpoch(t *testing.T) {
+	a := arch.Exynos2100Like()
+	start := time.Now()
+	_, err := Run(a, []Tenant{{Name: "x", Model: "TinyCNN"}}, Options{HorizonUS: 1e12})
+	var long *EpochTooLongError
+	if !errors.As(err, &long) || long.Limit != maxEpochInstrs || long.Instrs <= maxEpochInstrs {
+		t.Fatalf("1e12 us horizon: %v, want *EpochTooLongError", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejecting the epoch took %v", d)
 	}
 }
 

@@ -15,15 +15,6 @@ func RoundUp(n, align int) int {
 	return n + align - rem
 }
 
-// RoundDown returns the largest multiple of align that is <= n.
-// align <= 1 returns n unchanged.
-func RoundDown(n, align int) int {
-	if align <= 1 {
-		return n
-	}
-	return n - n%align
-}
-
 // SplitWeighted divides an extent of total elements into len(weights)
 // contiguous chunks whose sizes are proportional to weights, with every
 // chunk boundary (and therefore every chunk size except possibly the

@@ -73,9 +73,6 @@ type Plan struct {
 	ReloadInputs bool
 }
 
-// NumTiles returns the number of tiles.
-func (p *Plan) NumTiles() int { return len(p.Tiles) }
-
 // Tiler sizes and orders tiles for an architecture.
 type Tiler struct {
 	Arch  *arch.Arch
@@ -497,23 +494,6 @@ func (t *Tiler) spmNeed(tiles []Tile, dt tensor.DType, opt Options, reload bool)
 		}
 	}
 	return opt.ExtraResidentBytes + peak
-}
-
-func bbox(a, b tensor.Region) tensor.Region {
-	var out tensor.Region
-	for _, ax := range []tensor.Axis{tensor.AxisH, tensor.AxisW, tensor.AxisC} {
-		lo := a.Off.Dim(ax)
-		if v := b.Off.Dim(ax); v < lo {
-			lo = v
-		}
-		hi := a.End(ax)
-		if v := b.End(ax); v > hi {
-			hi = v
-		}
-		out.Off = out.Off.WithDim(ax, lo)
-		out.Ext = out.Ext.WithDim(ax, hi-lo)
-	}
-	return out
 }
 
 // markHalo flags tiles whose output touches a partition boundary that

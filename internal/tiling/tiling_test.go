@@ -45,8 +45,8 @@ func TestPipeliningPrefersThreeTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.NumTiles() < 3 {
-		t.Errorf("tiles = %d, want >= 3 for pipelining", tp.NumTiles())
+	if len(tp.Tiles) < 3 {
+		t.Errorf("tiles = %d, want >= 3 for pipelining", len(tp.Tiles))
 	}
 	if tp.Axis != tensor.AxisH {
 		t.Errorf("axis = %v, want H (match partition direction)", tp.Axis)
@@ -72,9 +72,9 @@ func TestSPMPressureForcesMoreTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tpSmall.NumTiles() <= tpBig.NumTiles() {
+	if len(tpSmall.Tiles) <= len(tpBig.Tiles) {
 		t.Errorf("small SPM %d tiles, big SPM %d tiles; small must tile more",
-			tpSmall.NumTiles(), tpBig.NumTiles())
+			len(tpSmall.Tiles), len(tpBig.Tiles))
 	}
 }
 
@@ -185,7 +185,7 @@ func TestChannelTilingSplitsKernel(t *testing.T) {
 	}
 	var kb int64
 	for _, tile := range tp.Tiles {
-		if tp.NumTiles() > 1 && tile.KernelBytes == 0 {
+		if len(tp.Tiles) > 1 && tile.KernelBytes == 0 {
 			t.Error("channel tile missing kernel slice")
 		}
 		kb += tile.KernelBytes
@@ -227,8 +227,8 @@ func TestEmptySubLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.NumTiles() != 0 {
-		t.Errorf("empty sub-layer got %d tiles", tp.NumTiles())
+	if len(tp.Tiles) != 0 {
+		t.Errorf("empty sub-layer got %d tiles", len(tp.Tiles))
 	}
 	if err := Validate(&tp, partition.SubLayer{Core: 0}); err != nil {
 		t.Error(err)
@@ -250,8 +250,8 @@ func TestForwardedInputReducesSPMNeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fwd.NumTiles() > plain.NumTiles() {
-		t.Errorf("forwarded input needed more tiles (%d > %d)", fwd.NumTiles(), plain.NumTiles())
+	if len(fwd.Tiles) > len(plain.Tiles) {
+		t.Errorf("forwarded input needed more tiles (%d > %d)", len(fwd.Tiles), len(plain.Tiles))
 	}
 }
 
