@@ -181,26 +181,50 @@ func capacityFailure(err error) bool {
 // Result keeps it for Simulate.
 func admit(ctx context.Context, res *Result) error {
 	out, err := sim.Run(res.Program, sim.Config{Ctx: ctx})
-	res.clean = out
+	if err == nil {
+		res.clean = &admission{run: out}
+	}
 	return err
 }
 
-// Simulate runs the compiled program under cfg. A run with no active
-// fault plan and no Hook cannot differ from the admission run, so
-// Simulate returns a private copy of that run instead of simulating
-// again; a non-empty fault plan, a Hook (a trace is a Recorder hook),
-// a Result without an admission run, and a cfg.Ctx that is already
-// done go to sim.Run, so a canceled context yields sim.Run's own
-// cancellation error.
+// Simulate runs the compiled program under cfg, answering from the
+// admission run (a private copy of its Stats) when cfg cannot change
+// the timing:
+//
+//   - With no active fault plan, the run is the admission run.
+//   - With a plan whose only fault kind is FlipRate, it is too: a
+//     bit-flip corrupts data but never timing, and the watchdog arms
+//     only for a plan that hangs a core (sim.Config.WatchdogCycles).
+//     The Corruptions come from sim.Checksums, the engines' own
+//     checksum pass, over the admission run's per-layer finish row
+//     (computed on the first such call and shared by every copy of the
+//     Result).
+//
+// Any other plan, a Hook (a trace is a Recorder hook), a Result without
+// an admission run, and a cfg.Ctx that is already done go to sim.Run,
+// so a canceled context yields sim.Run's own cancellation error.
 func (r *Result) Simulate(cfg sim.Config) (*sim.Result, error) {
-	if r.clean == nil || !cfg.Faults.Empty() || cfg.Hook != nil ||
-		(cfg.Ctx != nil && cfg.Ctx.Err() != nil) {
+	if r.clean == nil || cfg.Hook != nil || (cfg.Ctx != nil && cfg.Ctx.Err() != nil) {
 		return sim.Run(r.Program, cfg)
 	}
-	st := r.clean.Stats
+	var corrupts []sim.Corruption
+	if !cfg.Faults.Empty() {
+		if !cfg.Faults.FlipsOnly() {
+			return sim.Run(r.Program, cfg)
+		}
+		if err := cfg.Faults.ValidateFor(r.Program.Arch.NumCores()); err != nil {
+			return nil, err
+		}
+		row := r.clean.finishRow(r.Program)
+		if row == nil {
+			return sim.Run(r.Program, cfg)
+		}
+		corrupts = sim.Checksums(cfg.Faults, sim.Whole(r.Program), [][]float64{row}, nil)
+	}
+	st := r.clean.run.Stats
 	st.PerCore = append([]sim.CoreStats(nil), st.PerCore...)
 	st.ProgramCycles = append([]float64(nil), st.ProgramCycles...)
-	return &sim.Result{Stats: st}, nil
+	return &sim.Result{Stats: st, Corruptions: corrupts}, nil
 }
 
 // compileOnce runs the four compile stages for one fallback attempt,

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -251,6 +252,31 @@ type Result struct {
 	Key CacheKey
 
 	// clean is the admission run: the program's fault-free simulation,
-	// shared read-only by every copy of the Result (see Simulate).
-	clean *sim.Result
+	// shared by every copy of the Result (see Simulate).
+	clean *admission
+}
+
+// admission is the compiler's clean run of its program, shared by every
+// shallow copy of a Result (the compile cache hands out copies).
+type admission struct {
+	run *sim.Result
+
+	// finish is the run's per-layer finish row (a sim.LayerFinish row),
+	// computed on the first flip-only Simulate and kept for the rest.
+	once   sync.Once
+	finish []float64
+}
+
+// finishRow returns p's clean per-layer finish row, simulating p once
+// with a LayerFinish hook the first time it is asked for; nil if that
+// run fails.
+func (c *admission) finishRow(p *plan.Program) []float64 {
+	c.once.Do(func() {
+		whole := sim.Whole(p)
+		fin := sim.NewLayerFinish(whole)
+		if _, err := sim.RunConcurrent(p.Arch, whole, sim.Config{Hook: fin}); err == nil {
+			c.finish = fin.Finish[0]
+		}
+	})
+	return c.finish
 }

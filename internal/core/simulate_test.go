@@ -46,8 +46,7 @@ func TestSimulateReusesAdmissionRun(t *testing.T) {
 // countingHook counts retired instructions.
 type countingHook struct{ instrs int }
 
-func (h *countingHook) OnInstr(sim.Event)   { h.instrs++ }
-func (h *countingHook) OnBus(sim.BusSample) {}
+func (h *countingHook) OnInstr(sim.Event) { h.instrs++ }
 
 // TestSimulateRunsWhenConfigMatters: an active fault plan or a hook (a
 // trace recorder included) can change what the run reports, so
@@ -171,5 +170,111 @@ func TestSimulateWithoutAdmissionRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("Simulate without an admission run differs from the reused one")
+	}
+}
+
+// TestFlipOnlySimulateMatchesEngines: a flip-only plan never changes
+// timing, so Simulate answers it from the admission run plus the
+// checksum pass. Across the Table 2 models, Base and +Stratum, one to
+// three cores, flip rates over three decades, five fault seeds and a
+// watchdog off and on, that answer must equal both engines' runs,
+// corruptions and their order included.
+func TestFlipOnlySimulateMatchesEngines(t *testing.T) {
+	archs := []*arch.Arch{arch.SingleCore(), arch.Homogeneous(2), arch.Exynos2100Like()}
+	rates := []float64{0.0005, 0.005, 0.05, 0.5}
+	seeds := uint64(5)
+	if testing.Short() {
+		rates, seeds = []float64{0.005, 0.5}, 2
+	}
+	corruptions := 0
+	for _, m := range models.All() {
+		if testing.Short() && (m.Name == "UNet" || m.Name == "DeepLabV3+") {
+			continue
+		}
+		g := m.Build()
+		for _, a := range archs {
+			for _, opt := range []Options{Base(), Stratum()} {
+				res, err := Compile(g, a, opt)
+				if err != nil {
+					t.Fatalf("%s %s %d cores: %v", m.Name, opt.Name(), a.NumCores(), err)
+				}
+				for _, rate := range rates {
+					for seed := uint64(1); seed <= seeds; seed++ {
+						for _, wd := range []float64{0, 5000} {
+							cfg := sim.Config{Faults: &fault.Plan{Seed: seed, FlipRate: rate}, WatchdogCycles: wd}
+							got, err := res.Simulate(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ev, err := sim.Run(res.Program, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ref, err := sim.RunReference(res.Program, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(got, ev) || !reflect.DeepEqual(got, ref) {
+								t.Fatalf("%s %s %d cores, flip=%g seed %d watchdog %g: Simulate %d corruptions at %.0f cycles, sim.Run %d at %.0f, reference %d at %.0f",
+									m.Name, opt.Name(), a.NumCores(), rate, seed, wd,
+									len(got.Corruptions), got.Stats.TotalCycles, len(ev.Corruptions), ev.Stats.TotalCycles,
+									len(ref.Corruptions), ref.Stats.TotalCycles)
+							}
+							corruptions += len(got.Corruptions)
+						}
+					}
+				}
+			}
+		}
+	}
+	if corruptions == 0 {
+		t.Fatal("no flip was detected anywhere in the matrix")
+	}
+	t.Logf("%d corruptions matched", corruptions)
+}
+
+// TestFlipOnlySimulateReusesAdmissionRun: a flip-only Simulate reads
+// the admission run instead of simulating (a marked run shows through),
+// computes the finish row once for every copy of the Result, validates
+// the plan like the engine does, and sends every other plan to the
+// engine.
+func TestFlipOnlySimulateReusesAdmissionRun(t *testing.T) {
+	res, err := Compile(models.TinyCNN(), arch.Exynos2100Like(), Stratum())
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := *res.clean.run
+	marked.Stats.TotalCycles = -1
+	r := *res
+	r.clean = &admission{run: &marked}
+	cp := r
+
+	flip := sim.Config{Faults: &fault.Plan{Seed: 3, FlipRate: 0.2}, WatchdogCycles: 1000}
+	got, err := r.Simulate(flip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.TotalCycles != -1 || len(got.Corruptions) == 0 {
+		t.Fatalf("flip-only Simulate = %.0f cycles, %d corruptions; want the admission run's -1 and some corruptions",
+			got.Stats.TotalCycles, len(got.Corruptions))
+	}
+	row := r.clean.finish
+	if row == nil {
+		t.Fatal("no finish row kept")
+	}
+	if again, err := cp.Simulate(flip); err != nil || !reflect.DeepEqual(again, got) || &cp.clean.finish[0] != &row[0] {
+		t.Fatalf("a copy of the Result recomputed or changed the answer: %v", err)
+	}
+
+	drop := sim.Config{Faults: &fault.Plan{Seed: 3, DropRate: 0.01, FlipRate: 0.2}}
+	if out, err := r.Simulate(drop); err != nil || out.Stats.TotalCycles <= 0 {
+		t.Fatalf("a drop+flip plan was answered from the admission run: %v", err)
+	}
+
+	bad := sim.Config{Faults: &fault.Plan{FlipRate: 1.5}}
+	_, gotErr := r.Simulate(bad)
+	_, wantErr := sim.Run(r.Program, bad)
+	if gotErr == nil || !reflect.DeepEqual(gotErr, wantErr) {
+		t.Fatalf("invalid flip plan: Simulate error %v, sim.Run error %v", gotErr, wantErr)
 	}
 }

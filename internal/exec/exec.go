@@ -116,6 +116,25 @@ func (v *View) At(h, w, c int) int32 {
 	return v.data[(hh*v.Region.Ext.W+ww)*v.Region.Ext.C+cc]
 }
 
+// span returns the n elements at (h, w) from channel c on, a slice of
+// the view's storage; like At, it panics naming the first of them that
+// falls outside the view.
+func (v *View) span(h, w, c, n int) []int32 {
+	if n <= 0 {
+		return nil
+	}
+	hh := h - v.Region.Off.H
+	ww := w - v.Region.Off.W
+	cc := c - v.Region.Off.C
+	if hh < 0 || hh >= v.Region.Ext.H || ww < 0 || ww >= v.Region.Ext.W || cc < 0 || cc+n > v.Region.Ext.C {
+		for i := 0; i < n; i++ {
+			v.At(h, w, c+i)
+		}
+	}
+	i := (hh*v.Region.Ext.W+ww)*v.Region.Ext.C + cc
+	return v.data[i : i+n : i+n]
+}
+
 // Set stores v at absolute coordinates.
 func (v *View) Set(h, w, c int, x int32) {
 	hh := h - v.Region.Off.H
@@ -161,6 +180,21 @@ func (w *Weights) W(index int64) int32 {
 func (w *Weights) Conv(oc, kh, kw, ic, kH, kW, inC int) int32 {
 	idx := int64(((oc*kH+kh)*kW+kw)*inC + ic)
 	return w.W(idx)
+}
+
+// convRows generates the dense convolution weights of output channels
+// [oc0, oc1) once: row oc-oc0 holds oc's k = kH*kW*inC weights in
+// Conv's order, so entry (oc-oc0)*k + (kh*kW+kw)*inC + ic equals
+// Conv(oc, kh, kw, ic, kH, kW, inC). A kernel computes every output
+// pixel from the same rows, so reading them beats regenerating each
+// weight per multiply-accumulate.
+func (w *Weights) convRows(oc0, oc1, k int) []int8 {
+	rows := make([]int8, max(oc1-oc0, 0)*k)
+	base := w.seed + uint64(oc0*k)
+	for i := range rows {
+		rows[i] = int8(splitmix(base + uint64(i)))
+	}
+	return rows
 }
 
 // Bias returns the bias of output channel oc.

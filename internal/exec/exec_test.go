@@ -268,3 +268,70 @@ func TestActivationFunctions(t *testing.T) {
 		prevSig, prevTanh = s, th
 	}
 }
+
+// TestConvKernelsMatchPerWeightReads: the convolution kernels read each
+// output channel's weights from rows generated once per call; every
+// output must equal the sum that reads each weight through Conv, on a
+// channel slice of the output (so the rows start mid-layer), for a
+// grouped, a depthwise and a transposed convolution.
+func TestConvKernelsMatchPerWeightReads(t *testing.T) {
+	inShape := tensor.NewShape(9, 7, 8)
+	in := NewTensor(inShape)
+	in.Fill(7)
+	view := WholeView(in)
+	pad := ops.Padding{Top: 1, Bottom: 1, Left: 1, Right: 1}
+	w := WeightsFor(11)
+	cases := []struct {
+		op   ops.Op
+		want func(h, x, oc int) int32
+	}{
+		{ops.Conv2D{KH: 3, KW: 3, StrideH: 2, StrideW: 1, DilH: 1, DilW: 1, Pad: pad, OutC: 6, Groups: 2},
+			func(h, x, oc int) int32 {
+				acc := w.Bias(oc)
+				for kh := 0; kh < 3; kh++ {
+					for kw := 0; kw < 3; kw++ {
+						for icg := 0; icg < 4; icg++ {
+							acc += read(view, inShape, h*2-1+kh, x-1+kw, oc/3*4+icg) * w.Conv(oc, kh, kw, icg, 3, 3, 4)
+						}
+					}
+				}
+				return acc
+			}},
+		{ops.NewDepthwiseConv2D(3, 3, 1, 1, pad),
+			func(h, x, oc int) int32 {
+				acc := w.Bias(oc)
+				for kh := 0; kh < 3; kh++ {
+					for kw := 0; kw < 3; kw++ {
+						acc += read(view, inShape, h-1+kh, x-1+kw, oc) * w.Conv(oc, kh, kw, 0, 3, 3, 1)
+					}
+				}
+				return acc
+			}},
+		{ops.TransposeConv2D{KH: 2, KW: 2, StrideH: 2, StrideW: 2, OutC: 5},
+			func(h, x, oc int) int32 {
+				return w.Bias(oc) + func() (acc int32) {
+					for ic := 0; ic < inShape.C; ic++ {
+						acc += in.At(h/2, x/2, ic) * w.Conv(oc, h%2, x%2, ic, 2, 2, inShape.C)
+					}
+					return acc
+				}()
+			}},
+	}
+	for _, tc := range cases {
+		outShape, err := tc.op.OutShape([]tensor.Shape{inShape})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := tensor.WholeRegion(outShape)
+		out.Off.C, out.Ext.C = 1, outShape.C-2
+		got, err := Apply(tc.op, out, []*View{view}, []tensor.Shape{inShape}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forEach(out, func(h, x, c int) {
+			if g, want := got.At(h, x, c), tc.want(h, x, c); g != want {
+				t.Fatalf("%T at (%d,%d,%d) = %d, per-weight reads give %d", tc.op, h, x, c, g, want)
+			}
+		})
+	}
+}

@@ -93,12 +93,15 @@ func applyConv(o ops.Conv2D, out tensor.Region, in *View, inShape tensor.Shape, 
 	}
 	inCg := inShape.C / groups
 	outCg := o.OutC / groups
-	shard(out.Ext.H, out.Ext.W*out.Ext.C*o.KH*o.KW*inCg, func(row int) {
+	k := o.KH * o.KW * inCg
+	rows := w.convRows(out.Off.C, out.End(tensor.AxisC), k)
+	shard(out.Ext.H, out.Ext.W*out.Ext.C*k, func(row int) {
 		oh := out.Off.H + row
 		for ow := out.Off.W; ow < out.End(tensor.AxisW); ow++ {
 			for oc := out.Off.C; oc < out.End(tensor.AxisC); oc++ {
 				acc := w.Bias(oc)
 				icBase := (oc / outCg) * inCg
+				wr := rows[(oc-out.Off.C)*k:]
 				for kh := 0; kh < o.KH; kh++ {
 					ih := oh*o.StrideH - o.Pad.Top + kh*o.DilH
 					if ih < 0 || ih >= inShape.H {
@@ -109,8 +112,9 @@ func applyConv(o ops.Conv2D, out tensor.Region, in *View, inShape tensor.Shape, 
 						if iw < 0 || iw >= inShape.W {
 							continue
 						}
-						for icg := 0; icg < inCg; icg++ {
-							acc += in.At(ih, iw, icBase+icg) * w.Conv(oc, kh, kw, icg, o.KH, o.KW, inCg)
+						wk := wr[(kh*o.KW+kw)*inCg:]
+						for icg, x := range in.span(ih, iw, icBase, inCg) {
+							acc += x * int32(wk[icg])
 						}
 					}
 				}
@@ -123,11 +127,14 @@ func applyConv(o ops.Conv2D, out tensor.Region, in *View, inShape tensor.Shape, 
 
 func applyDepthwise(o ops.DepthwiseConv2D, out tensor.Region, in *View, inShape tensor.Shape, w *Weights) *View {
 	res := NewView(out)
-	shard(out.Ext.H, out.Ext.W*out.Ext.C*o.KH*o.KW, func(row int) {
+	k := o.KH * o.KW
+	rows := w.convRows(out.Off.C, out.End(tensor.AxisC), k)
+	shard(out.Ext.H, out.Ext.W*out.Ext.C*k, func(row int) {
 		oh := out.Off.H + row
 		for ow := out.Off.W; ow < out.End(tensor.AxisW); ow++ {
 			for oc := out.Off.C; oc < out.End(tensor.AxisC); oc++ {
 				acc := w.Bias(oc)
+				wr := rows[(oc-out.Off.C)*k:]
 				for kh := 0; kh < o.KH; kh++ {
 					ih := oh*o.StrideH - o.Pad.Top + kh*o.DilH
 					if ih < 0 || ih >= inShape.H {
@@ -138,7 +145,7 @@ func applyDepthwise(o ops.DepthwiseConv2D, out tensor.Region, in *View, inShape 
 						if iw < 0 || iw >= inShape.W {
 							continue
 						}
-						acc += in.At(ih, iw, oc) * w.Conv(oc, kh, kw, 0, o.KH, o.KW, 1)
+						acc += in.At(ih, iw, oc) * int32(wr[kh*o.KW+kw])
 					}
 				}
 				res.Set(oh, ow, oc, acc)
@@ -150,11 +157,15 @@ func applyDepthwise(o ops.DepthwiseConv2D, out tensor.Region, in *View, inShape 
 
 func applyTransposeConv(o ops.TransposeConv2D, out tensor.Region, in *View, inShape tensor.Shape, w *Weights) *View {
 	res := NewView(out)
-	shard(out.Ext.H, out.Ext.W*out.Ext.C*o.KH*o.KW*inShape.C, func(row int) {
+	inC := inShape.C
+	k := o.KH * o.KW * inC
+	rows := w.convRows(out.Off.C, out.End(tensor.AxisC), k)
+	shard(out.Ext.H, out.Ext.W*out.Ext.C*k, func(row int) {
 		oh := out.Off.H + row
 		for ow := out.Off.W; ow < out.End(tensor.AxisW); ow++ {
 			for oc := out.Off.C; oc < out.End(tensor.AxisC); oc++ {
 				acc := w.Bias(oc)
+				wr := rows[(oc-out.Off.C)*k:]
 				for kh := 0; kh < o.KH; kh++ {
 					num := oh + o.Pad.Top - kh
 					if num%o.StrideH != 0 {
@@ -173,8 +184,9 @@ func applyTransposeConv(o ops.TransposeConv2D, out tensor.Region, in *View, inSh
 						if iw < 0 || iw >= inShape.W {
 							continue
 						}
-						for ic := 0; ic < inShape.C; ic++ {
-							acc += in.At(ih, iw, ic) * w.Conv(oc, kh, kw, ic, o.KH, o.KW, inShape.C)
+						wk := wr[(kh*o.KW+kw)*inC:]
+						for ic, x := range in.span(ih, iw, 0, inC) {
+							acc += x * int32(wk[ic])
 						}
 					}
 				}

@@ -115,6 +115,14 @@ func (p *Plan) Empty() bool {
 		len(p.Hangs) == 0 && len(p.Slowdowns) == 0)
 }
 
+// FlipsOnly reports whether bit-flips (FlipRate) are the plan's only
+// active fault kind. Such a plan corrupts data but never timing.
+func (p *Plan) FlipsOnly() bool {
+	return p != nil && p.FlipRate > 0 && p.DropRate <= 0 &&
+		len(p.Throttles) == 0 && len(p.Deaths) == 0 &&
+		len(p.Hangs) == 0 && len(p.Slowdowns) == 0
+}
+
 // Retries returns the effective per-transfer retry bound.
 func (p *Plan) Retries() int {
 	if p == nil || p.MaxRetries <= 0 {

@@ -24,7 +24,7 @@ import (
 
 // Collector is the report-building sim.Hook: a sim.Recorder whose
 // Events (the run's trace) BuildReport attributes, plus the bus
-// allocation series. Both slices hold plain values, so a Collector can
+// allocation series (it is a sim.BusHook). Both slices hold plain values, so a Collector can
 // outlive the run that fed it. Zero value is ready to use; Reset
 // reuses the backing arrays across runs.
 type Collector struct {
@@ -32,7 +32,7 @@ type Collector struct {
 	Bus []sim.BusSample
 }
 
-// OnBus implements sim.Hook.
+// OnBus implements sim.BusHook.
 func (c *Collector) OnBus(s sim.BusSample) { c.Bus = append(c.Bus, s) }
 
 // Reset clears the collector for reuse, keeping capacity.

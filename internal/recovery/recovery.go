@@ -65,7 +65,8 @@ type Result struct {
 	// maps its layer IDs back to the original graph's.
 	Suffix *graph.Graph
 	// Origin maps every suffix-graph layer (inputs included) to the
-	// original-graph layer it stands for.
+	// original-graph layer it stands for; nil means the identity (the
+	// suffix is the original graph).
 	Origin map[graph.LayerID]graph.LayerID
 	// Compiled is the suffix program that ran to completion.
 	Compiled *core.Result
@@ -366,9 +367,12 @@ func Validate(g *graph.Graph, r *Result) (err error) {
 	}
 	out := make(map[graph.LayerID]*exec.Tensor, r.Suffix.Len())
 	for _, l := range r.Suffix.Layers() {
-		orig, ok := r.Origin[l.ID]
-		if !ok {
-			return fmt.Errorf("recovery: suffix layer %s has no origin", l.Name)
+		orig := l.ID
+		if r.Origin != nil {
+			var ok bool
+			if orig, ok = r.Origin[l.ID]; !ok {
+				return fmt.Errorf("recovery: suffix layer %s has no origin", l.Name)
+			}
 		}
 		if l.IsInput() {
 			if g.Layer(orig).IsInput() {

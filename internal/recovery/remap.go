@@ -18,7 +18,8 @@ type Remapped struct {
 	// was completed it is the original graph itself (no rebuild).
 	Suffix *graph.Graph
 	// Origin maps every suffix layer (inputs included) to the
-	// original-graph layer it stands for.
+	// original-graph layer it stands for; nil when Suffix is the
+	// original graph itself (the identity).
 	Origin map[graph.LayerID]graph.LayerID
 	// Compiled is the suffix compiled for the requested subset.
 	Compiled *core.Result
@@ -39,7 +40,7 @@ func Remap(ctx context.Context, g *graph.Graph, c *Checkpoint, a *arch.Arch, cor
 	if err != nil {
 		return nil, fmt.Errorf("recovery: remap %s: %w", g.Name, err)
 	}
-	suffix, origin := g, identityOrigin(g)
+	suffix, origin := g, map[graph.LayerID]graph.LayerID(nil)
 	if !c.Empty() {
 		suffix, origin, err = c.suffixGraph(g)
 		if err != nil {
@@ -51,14 +52,4 @@ func Remap(ctx context.Context, g *graph.Graph, c *Checkpoint, a *arch.Arch, cor
 		return nil, fmt.Errorf("recovery: remapping %s onto %d cores: %w", g.Name, len(cores), err)
 	}
 	return &Remapped{Suffix: suffix, Origin: origin, Compiled: res}, nil
-}
-
-// identityOrigin maps a graph onto itself, so callers can treat the
-// nothing-completed case uniformly with real suffixes.
-func identityOrigin(g *graph.Graph) map[graph.LayerID]graph.LayerID {
-	m := make(map[graph.LayerID]graph.LayerID, g.Len())
-	for _, l := range g.Layers() {
-		m[l.ID] = l.ID
-	}
-	return m
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/serialize"
@@ -478,6 +479,70 @@ func TestReplyWrittenAfterRelease(t *testing.T) {
 		} else if w.seen.InFlight != 0 || w.seen.Queued != 0 {
 			t.Errorf("%s %s: reply written with in-flight %d, queued %d; want both 0",
 				c.path, c.body, w.seen.InFlight, w.seen.Queued)
+		}
+	}
+}
+
+// TestConcurrentFlipOnlyRuns: concurrent flip-only /run requests on one
+// cached program are answered from its admission run, the first of them
+// racing to compute the shared finish row; every reply must equal a
+// direct engine run of the same plan.
+func TestConcurrentFlipOnlyRuns(t *testing.T) {
+	core.ResetCache()
+	defer core.ResetCache()
+	s := New(Options{Concurrency: 4, Queue: 64})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, _, er := postRun(t, ts, RunRequest{Model: "MobileNetV2"}); code != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %+v", code, er)
+	}
+	res, err := core.CompileCached(buildModel(t, "MobileNetV2"), arch.Exynos2100Like(), core.Stratum())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 16
+	reqs := make([]RunRequest, n)
+	want := make([]*sim.Result, n)
+	for i := range reqs {
+		reqs[i] = RunRequest{Model: "MobileNetV2", Faults: "flip=0.05", FaultSeed: uint64(i%4 + 1),
+			WatchdogCycles: 5000, Recover: i%2 == 0}
+		plan, err := fault.ParseSpec(reqs[i].Faults, reqs[i].FaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = sim.Run(res.Program, sim.Config{Faults: plan, WatchdogCycles: 5000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, n)
+	for i := range reqs {
+		go func(i int) {
+			body, _ := json.Marshal(reqs[i])
+			resp, err := ts.Client().Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			var rr RunResponse
+			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil || resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("request %d: status %d, decode error %v", i, resp.StatusCode, err)
+				return
+			}
+			w := want[i]
+			if rr.TotalCycles != w.Stats.TotalCycles || rr.Corruptions != len(w.Corruptions) ||
+				rr.Corruptions == 0 || rr.Degraded || !rr.CacheHit {
+				errs <- fmt.Errorf("request %d: served %+v, direct run %.0f cycles and %d corruptions",
+					i, rr, w.Stats.TotalCycles, len(w.Corruptions))
+				return
+			}
+			errs <- nil
+		}(i)
+	}
+	for range reqs {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -50,9 +50,6 @@ func (f *LayerFinish) OnInstr(e Event) {
 	}
 }
 
-// OnBus implements Hook; finish cycles need no bus series.
-func (*LayerFinish) OnBus(BusSample) {}
-
 // CutAtCycle computes a recovery checkpoint post-hoc from a run's
 // per-layer finish cycles (one LayerFinish row): the longest safe
 // prefix, by the same cut rule as CoreFailure.Completed — every prefix

@@ -34,10 +34,6 @@ type bothHooks struct {
 }
 
 func (h bothHooks) OnInstr(e Event) { h.rec.OnInstr(e); h.fin.OnInstr(e) }
-func (h bothHooks) OnBus(s BusSample) {
-	h.rec.OnBus(s)
-	h.fin.OnBus(s)
-}
 
 // observe co-runs placements on a, recording the trace and the finish
 // cycles.

@@ -113,7 +113,6 @@ type enode struct {
 	eng        uint8 // plan.Engine
 	done       bool
 	started    bool
-	flipped    bool // delivered corrupted bytes (fault injection)
 }
 
 // echannel is one in-flight DMA transfer participating in bandwidth
@@ -153,10 +152,10 @@ type machine struct {
 	a          *arch.Arch
 	placements []Placement
 	cfg        Config
+	bus        BusHook // cfg.Hook's bus half, nil when it has none
 
 	fs      *faultState // nil when the plan injects nothing
 	fsStore faultState  // backing storage for fs, pooled
-	flipOn  bool        // FlipRate > 0: stratum checksums armed
 
 	total  int
 	ncores int
@@ -205,13 +204,15 @@ type machine struct {
 	// (tail, head) join edges gating it, and scratch.
 	after, joins, ends []int32
 
-	// Per-placement layer accounting for checkpoint recovery (fault
-	// runs only), flattened: placement pi's layers occupy
-	// [layerOff[pi]:layerOff[pi+1]].
+	// Per-placement layer accounting for checkpoint recovery and the
+	// checksum pass (fault runs only), flattened: placement pi's layers
+	// occupy [layerOff[pi]:layerOff[pi+1]]. layerEnd is when each layer
+	// retired its last instruction (a LayerFinish row).
 	layerOff   []int32
 	layerDone  []int
 	layerTotal []int
 	layerStore []bool
+	layerEnd   []float64
 	pending    []int32 // per global core, instructions not yet finished
 
 	stats Stats
@@ -265,17 +266,6 @@ type machine struct {
 	nextBeat   float64
 	wdCulprits []int
 
-	// Stratum-boundary checksum state (FlipRate > 0 only), flattened
-	// like the layer accounting: placement pi's strata occupy
-	// [strOff[pi]:strOff[pi+1]]. layerStr maps a flattened layer to
-	// its local stratum index; strLeft counts unfinished instructions
-	// per stratum; strFlips counts corrupted transfers per stratum.
-	strOff   []int32
-	layerStr []int32
-	strLeft  []int32
-	strFlips []int32
-	corrupt  []Corruption // handed to the caller, fresh per run
-
 	now       float64
 	completed int
 }
@@ -301,10 +291,10 @@ func (m *machine) release() {
 	m.a = nil
 	m.placements = nil
 	m.cfg = Config{}
+	m.bus = nil
 	m.fs = nil
 	m.fsStore.plan = nil
 	m.stats = Stats{}
-	m.corrupt = nil
 }
 
 func (m *machine) speedOf(c int) float64 {
@@ -322,6 +312,7 @@ func (m *machine) instr(nid int) *plan.Instr {
 
 func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result, error) {
 	m.a, m.placements, m.cfg = a, placements, cfg
+	m.bus, _ = cfg.Hook.(BusHook)
 	ncores := a.NumCores()
 	m.ncores = ncores
 
@@ -487,6 +478,7 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 		m.layerDone = resize(m.layerDone, nl)
 		m.layerTotal = resize(m.layerTotal, nl)
 		m.layerStore = resize(m.layerStore, nl)
+		m.layerEnd = resize(m.layerEnd, nl)
 		m.pending = resize(m.pending, ncores)
 		for nid := 0; nid < total; nid++ {
 			l := int(m.layerOff[m.progOf[nid]]) + int(m.nodes[nid].layer)
@@ -500,53 +492,15 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 		}
 	}
 
-	// Watchdog heartbeat: only meaningful when faults are injected (a
-	// fault-free run cannot stall), which also keeps the fault-free
-	// fast path untouched.
+	// Watchdog heartbeat: armed only when the plan hangs a core, the
+	// one fault that can stall one, so a run with no hang is
+	// bit-identical with or without a watchdog.
 	m.wdH = 0
-	if cfg.WatchdogCycles > 0 && m.fs != nil {
+	if cfg.WatchdogCycles > 0 && m.fs != nil && len(m.fs.plan.Hangs) > 0 {
 		m.wdH = cfg.WatchdogCycles
 	}
 	m.nextBeat = m.wdH
 	m.wdCulprits = m.wdCulprits[:0]
-
-	// Stratum-boundary checksum accounting for silent-corruption
-	// detection. Programs without strata (base config) checksum at
-	// every layer boundary instead.
-	m.flipOn = m.fs != nil && m.fs.plan.FlipRate > 0
-	m.corrupt = nil
-	if m.flipOn {
-		nl := int(m.layerOff[len(placements)])
-		m.layerStr = resizeFill(m.layerStr, nl, -1)
-		m.strOff = m.strOff[:0]
-		ns := 0
-		for pi, pl := range placements {
-			m.strOff = append(m.strOff, int32(ns))
-			off := int(m.layerOff[pi])
-			if len(pl.Program.Strata) == 0 {
-				for l := 0; l < pl.Program.Graph.Len(); l++ {
-					m.layerStr[off+l] = int32(l)
-				}
-				ns += pl.Program.Graph.Len()
-				continue
-			}
-			for si, s := range pl.Program.Strata {
-				for _, id := range s {
-					m.layerStr[off+int(id)] = int32(si)
-				}
-			}
-			ns += len(pl.Program.Strata)
-		}
-		m.strOff = append(m.strOff, int32(ns))
-		m.strLeft = resize(m.strLeft, ns)
-		m.strFlips = resize(m.strFlips, ns)
-		for nid := 0; nid < total; nid++ {
-			pi := int(m.progOf[nid])
-			if si := m.layerStr[int(m.layerOff[pi])+int(m.nodes[nid].layer)]; si >= 0 {
-				m.strLeft[int(m.strOff[pi])+int(si)]++
-			}
-		}
-	}
 
 	m.stats = Stats{
 		PerCore:       make([]CoreStats, ncores),
@@ -767,12 +721,24 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 	for c := 0; c < ncores; c++ {
 		m.stats.PerCore[c].Idle = m.stats.TotalCycles - mergedLength(m.busyIv[c])
 	}
-	if h := m.cfg.Hook; h != nil {
+	if m.bus != nil {
 		// Close the bus series: the last rebuild's allocation ends here
 		// (the final transfer's completion need not trigger a rebuild).
-		h.OnBus(BusSample{At: m.now})
+		m.bus.OnBus(BusSample{At: m.now})
 	}
-	return &Result{Stats: m.stats, Corruptions: m.corrupt}, nil
+	return &Result{Stats: m.stats, Corruptions: m.checksums()}, nil
+}
+
+// checksums runs the checksum pass over the finished run.
+func (m *machine) checksums() []Corruption {
+	if m.fs == nil || m.fs.plan.FlipRate <= 0 {
+		return nil
+	}
+	rows := make([][]float64, len(m.placements))
+	for pi := range rows {
+		rows[pi] = m.layerEnd[m.layerOff[pi]:m.layerOff[pi+1]]
+	}
+	return Checksums(m.fs.plan, m.placements, rows, func(n int) int { return int(m.nodes[n].attempt) })
 }
 
 func (m *machine) pushReady(ei int32) {
@@ -968,9 +934,9 @@ func (m *machine) rebuildChannels() {
 	m.sampleBus()
 }
 
-// sampleBus reports the allocation just built to the hook, if any.
+// sampleBus reports the allocation just built to the bus hook, if any.
 func (m *machine) sampleBus() {
-	h := m.cfg.Hook
+	h := m.bus
 	if h == nil {
 		return
 	}
@@ -1019,11 +985,6 @@ func (m *machine) completeDMA() *CoreFailure {
 			}
 			continue
 		}
-		// A silent bit-flip corrupts the delivered bytes without any
-		// signal; the stratum-boundary checksum catches it later.
-		if m.flipOn && m.fs.plan.Flips(int(nid), int(n.attempt)) {
-			n.flipped = true
-		}
 		m.finishNode(int(nid), m.now)
 	}
 	return nil
@@ -1061,26 +1022,10 @@ func (m *machine) finishNode(nid int, t float64) {
 		m.stats.ProgramCycles[pi] = t
 	}
 	if m.fs != nil {
-		m.layerDone[int(m.layerOff[pi])+int(n.layer)]++
+		l := int(m.layerOff[pi]) + int(n.layer)
+		m.layerDone[l]++
+		m.layerEnd[l] = t
 		m.pending[c]--
-	}
-	if m.flipOn {
-		if si := m.layerStr[int(m.layerOff[pi])+int(n.layer)]; si >= 0 {
-			g := int(m.strOff[pi]) + int(si)
-			if n.flipped {
-				m.strFlips[g]++
-			}
-			m.strLeft[g]--
-			// Stratum complete: verify its boundary checksum. Any
-			// corrupted transfer inside it is detected here, bounding
-			// the re-execution blast radius to this stratum.
-			if m.strLeft[g] == 0 && m.strFlips[g] > 0 {
-				m.corrupt = append(m.corrupt, Corruption{
-					Placement: pi, Stratum: int(si),
-					DetectedAtCycle: t, Transfers: int(m.strFlips[g]),
-				})
-			}
-		}
 	}
 	m.appendBusy(c, n.start, t)
 	if h := m.cfg.Hook; h != nil {

@@ -275,7 +275,7 @@ func (fs *faultState) fire(now float64) []firedEvent {
 }
 
 // StratumLayers returns the layers of the program stratum a
-// Corruption names, mirroring the engines' checksum granularity: the
+// Corruption names, at the checksum granularity (Checksums): the
 // program's strata when it has them, otherwise one stratum per layer.
 func StratumLayers(p *plan.Program, stratum int) []graph.LayerID {
 	if len(p.Strata) == 0 {

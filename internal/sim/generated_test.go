@@ -4,6 +4,7 @@ import (
 	. "repro/internal/sim"
 
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -165,4 +166,40 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		n := 1 + int(planIdx)/len(genPlans)%2
 		runGenerated(t, prog, n, genConfig(genPlans[int(planIdx)%len(genPlans)], faultSeed, float64(n)*T))
 	})
+}
+
+// TestWatchdogInertWithoutHangs is the generated suite's metamorphic
+// case for the watchdog: it arms only for a plan that hangs a core, so
+// on every hang-free plan of the matrix a fine heartbeat changes
+// nothing in either engine: the same Result, or the same typed error.
+func TestWatchdogInertWithoutHangs(t *testing.T) {
+	seeds := int64(8)
+	if testing.Short() {
+		seeds = 2
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		for _, a := range genArchs() {
+			for _, opt := range genConfigs {
+				prog, T := genProgram(t, seed, a, opt)
+				for _, name := range genPlans {
+					if name == "hang" {
+						continue
+					}
+					cfg := genConfig(name, uint64(seed)+1, T)
+					armed := cfg
+					armed.WatchdogCycles = T / 37
+					for engine, run := range map[string]func(*plan.Program, Config) (*Result, error){
+						"event": Run, "reference": RunReference,
+					} {
+						want, wantErr := run(prog, cfg)
+						got, gotErr := run(prog, armed)
+						if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
+							t.Fatalf("seed%d/%s/%s/%s: %s engine with a watchdog: %v (err %v), without: %v (err %v)",
+								seed, a.Name, opt.Name(), name, engine, got, gotErr, want, wantErr)
+						}
+					}
+				}
+			}
+		}
+	}
 }

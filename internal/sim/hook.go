@@ -1,14 +1,17 @@
 package sim
 
-// Hook observes a run: it receives every retired instruction, and on
-// the event engine the bus allocation series (package metrics
-// implements it for reports; Recorder is the trace-only hook). The
-// contract is strict so the hook cannot perturb the simulation or its
-// performance:
+// Hook observes a run: it receives every retired instruction
+// (package metrics implements it for reports; Recorder is the
+// trace-only hook, LayerFinish the per-layer finish row). A Hook that
+// also implements BusHook receives the event engine's bus allocation
+// series. The contract is strict so the hook cannot perturb the
+// simulation or its performance:
 //
 //   - A nil Config.Hook costs one predicted branch per retired
 //     instruction and per bus reallocation — the zero-allocation
-//     steady-state path is unchanged.
+//     steady-state path is unchanged. A Hook that is not a BusHook
+//     costs nothing per bus reallocation: the engine checks for
+//     BusHook once per run and builds no BusSample without one.
 //   - Methods are called synchronously from the engine loop and must
 //     not retain pointers into engine scratch; both sample types are
 //     plain values with no references, so storing them is safe.
@@ -23,6 +26,10 @@ type Hook interface {
 	// OnInstr fires once per retired instruction, in completion order
 	// (the order Stats accumulation observes).
 	OnInstr(Event)
+}
+
+// BusHook is the optional bus half of a Hook.
+type BusHook interface {
 	// OnBus fires whenever the bus water-filling set is rebuilt
 	// (membership or core-speed change) with the new allocation, and
 	// once more at the end of the run with an empty allocation, closing
@@ -32,19 +39,15 @@ type Hook interface {
 }
 
 // Recorder is the trace-only Hook: it keeps every retired instruction
-// in completion order and ignores the bus series. Its Events are the
-// run's trace (for a failed run, the prefix retired before the
-// failure). The zero value is ready to use; Reset reuses the backing
-// array across runs.
+// in completion order. Its Events are the run's trace (for a failed
+// run, the prefix retired before the failure). The zero value is ready
+// to use; Reset reuses the backing array across runs.
 type Recorder struct {
 	Events []Event
 }
 
 // OnInstr implements Hook.
 func (r *Recorder) OnInstr(e Event) { r.Events = append(r.Events, e) }
-
-// OnBus implements Hook; a trace has no bus series.
-func (*Recorder) OnBus(BusSample) {}
 
 // Reset clears the trace for reuse, keeping capacity.
 func (r *Recorder) Reset() { r.Events = r.Events[:0] }

@@ -30,7 +30,6 @@ type node struct {
 	setupUntil float64 // DMA descriptor setup completes at this time
 	finish     float64 // scheduled completion (compute/barrier)
 	attempt    int     // DMA re-issues so far (fault injection)
-	flipped    bool    // delivered corrupted bytes (fault injection)
 }
 
 type engineState struct {
@@ -135,21 +134,25 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 		}
 	}
 
-	// Per-placement layer accounting for checkpoint recovery: how many
-	// instructions each layer owes vs. has completed, and whether any
-	// of them publishes the layer's output to global memory.
+	// Per-placement layer accounting for checkpoint recovery and the
+	// checksum pass: how many instructions each layer owes vs. has
+	// completed, whether any of them publishes the layer's output to
+	// global memory, and when the layer retired its last instruction.
 	var layerDone, layerTotal [][]int
 	var layerStore [][]bool
+	var layerEnd [][]float64
 	pending := make([]int, ncores)
 	if fs != nil {
 		layerDone = make([][]int, len(placements))
 		layerTotal = make([][]int, len(placements))
 		layerStore = make([][]bool, len(placements))
+		layerEnd = make([][]float64, len(placements))
 		for pi, pl := range placements {
 			nl := pl.Program.Graph.Len()
 			layerDone[pi] = make([]int, nl)
 			layerTotal[pi] = make([]int, nl)
 			layerStore[pi] = make([]bool, nl)
+			layerEnd[pi] = make([]float64, nl)
 			for _, stream := range pl.Program.Cores {
 				for _, in := range stream {
 					layerTotal[pi][in.Layer]++
@@ -167,54 +170,12 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 	}
 
 	// Watchdog heartbeat (see Config.WatchdogCycles): armed only when
-	// faults are injected.
+	// the plan hangs a core.
 	wdH := 0.0
-	if cfg.WatchdogCycles > 0 && fs != nil {
+	if cfg.WatchdogCycles > 0 && fs != nil && len(fs.plan.Hangs) > 0 {
 		wdH = cfg.WatchdogCycles
 	}
 	nextBeat := wdH
-
-	// Stratum-boundary checksum accounting for silent-corruption
-	// detection (FlipRate > 0 only). Programs without strata checksum
-	// at every layer boundary instead.
-	flipOn := fs != nil && fs.plan.FlipRate > 0
-	var layerStr [][]int32
-	var strLeft, strFlips [][]int32
-	var corrupts []Corruption
-	if flipOn {
-		layerStr = make([][]int32, len(placements))
-		strLeft = make([][]int32, len(placements))
-		strFlips = make([][]int32, len(placements))
-		for pi, pl := range placements {
-			nl := pl.Program.Graph.Len()
-			ls := make([]int32, nl)
-			for i := range ls {
-				ls[i] = -1
-			}
-			ns := len(pl.Program.Strata)
-			if ns == 0 {
-				ns = nl
-				for l := 0; l < nl; l++ {
-					ls[l] = int32(l)
-				}
-			} else {
-				for si, s := range pl.Program.Strata {
-					for _, id := range s {
-						ls[id] = int32(si)
-					}
-				}
-			}
-			layerStr[pi] = ls
-			strLeft[pi] = make([]int32, ns)
-			strFlips[pi] = make([]int32, ns)
-		}
-		for nid := 0; nid < total; nid++ {
-			pi := progOf[nid]
-			if si := layerStr[pi][nodes[nid].in.Layer]; si >= 0 {
-				strLeft[pi][si]++
-			}
-		}
-	}
 
 	// SPM admission state, mirroring the event engine (spmcheck.go):
 	// owner bytes per node, reader counts filtered to genuine data
@@ -305,24 +266,8 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 		}
 		if fs != nil {
 			layerDone[progOf[nid]][n.in.Layer]++
+			layerEnd[progOf[nid]][n.in.Layer] = t
 			pending[c]--
-		}
-		if flipOn {
-			pi := progOf[nid]
-			if si := layerStr[pi][n.in.Layer]; si >= 0 {
-				if n.flipped {
-					strFlips[pi][si]++
-				}
-				strLeft[pi][si]--
-				// Stratum complete: its boundary checksum catches any
-				// corrupted transfer inside it here.
-				if strLeft[pi][si] == 0 && strFlips[pi][si] > 0 {
-					corrupts = append(corrupts, Corruption{
-						Placement: pi, Stratum: int(si),
-						DetectedAtCycle: t, Transfers: int(strFlips[pi][si]),
-					})
-				}
-			}
 		}
 		busyIntervals[c] = append(busyIntervals[c], [2]float64{n.start, t})
 		if cfg.Hook != nil {
@@ -720,11 +665,6 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 				n.setupUntil = now + fault.BackoffCycles(a.DMASetupCycles, n.attempt)
 				continue
 			}
-			// A silent bit-flip corrupts the delivered bytes without any
-			// signal; the stratum-boundary checksum catches it later.
-			if flipOn && fs.plan.Flips(ch.nid, n.attempt) {
-				n.flipped = true
-			}
 			finishNode(ch.nid, now)
 		}
 		for c := 0; c < ncores; c++ {
@@ -750,6 +690,10 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 	stats.TotalCycles = now
 	for c := 0; c < ncores; c++ {
 		stats.PerCore[c].Idle = stats.TotalCycles - unionLength(busyIntervals[c])
+	}
+	var corrupts []Corruption
+	if fs != nil {
+		corrupts = Checksums(fs.plan, placements, layerEnd, func(n int) int { return nodes[n].attempt })
 	}
 	return &Result{Stats: stats, Corruptions: corrupts}, nil
 }

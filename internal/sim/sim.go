@@ -158,8 +158,9 @@ func (s *Stats) EnergyMicroJoules(pjPerMAC, pjPerDRAMByte float64, int16Model bo
 type Result struct {
 	Stats Stats
 	// Corruptions lists every stratum whose boundary checksum caught
-	// corrupted DMA bytes, in detection order (empty without FlipRate
-	// faults; identical between both engines). The run completes —
+	// corrupted DMA bytes, ordered by (detection cycle, placement,
+	// stratum); empty without FlipRate faults. Both engines compute it
+	// with the same post-run pass, Checksums. The run completes —
 	// silent corruption never stops execution — and the caller decides
 	// whether to re-execute the affected strata.
 	Corruptions []Corruption
@@ -179,15 +180,20 @@ type Config struct {
 	// checkpoint recovery resumes from.
 	Faults *fault.Plan
 	// Hook observes the run: every retired instruction, and on the
-	// event engine the bus allocation series (see the Hook doc for the
-	// zero-overhead contract). Nil disables observation.
+	// event engine the bus allocation series when it is also a BusHook
+	// (see the Hook doc for the zero-overhead contract). Nil disables
+	// observation.
 	Hook Hook
 	// WatchdogCycles enables the hang watchdog: per-core progress is
 	// checked every WatchdogCycles simulated cycles, and a core that
 	// owes instructions but shows no forward progress fails the run
 	// with a typed *HangDetected carrying the recovery checkpoint.
-	// Zero disables the watchdog. It only arms when Faults is non-empty
-	// (a fault-free run cannot stall), so it never perturbs clean runs.
+	// Zero disables the watchdog. It arms only when Faults hangs a core
+	// (fault.Plan.Hangs), the one fault that can stall one: a heartbeat
+	// splits a step's DMA draining (moving timings by the last ulp), so
+	// a run without a hang stays bit-identical with or without it. A
+	// flip-only run thus times exactly like the clean run, which is why
+	// core.Result.Simulate can answer it from the admission run.
 	WatchdogCycles float64
 }
 
