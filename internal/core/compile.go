@@ -187,44 +187,100 @@ func admit(ctx context.Context, res *Result) error {
 	return err
 }
 
-// Simulate runs the compiled program under cfg, answering from the
-// admission run (a private copy of its Stats) when cfg cannot change
-// the timing:
-//
-//   - With no active fault plan, the run is the admission run.
-//   - With a plan whose only fault kind is FlipRate, it is too: a
-//     bit-flip corrupts data but never timing, and the watchdog arms
-//     only for a plan that hangs a core (sim.Config.WatchdogCycles).
-//     The Corruptions come from sim.Checksums, the engines' own
-//     checksum pass, over the admission run's per-layer finish row
-//     (computed on the first such call and shared by every copy of the
-//     Result).
-//
-// Any other plan, a Hook (a trace is a Recorder hook), a Result without
-// an admission run, and a cfg.Ctx that is already done go to sim.Run,
-// so a canceled context yields sim.Run's own cancellation error.
+// Simulate runs the compiled program alone on its own architecture;
+// see SimulateOn.
 func (r *Result) Simulate(cfg sim.Config) (*sim.Result, error) {
-	if r.clean == nil || cfg.Hook != nil || (cfg.Ctx != nil && cfg.Ctx.Err() != nil) {
-		return sim.Run(r.Program, cfg)
+	return r.SimulateOn(r.Program.Arch, nil, cfg)
+}
+
+// SimulateOn runs the compiled program placed on cores of the global
+// architecture a: program core i on a's core cores[i], nil cores
+// meaning a's cores in order. It answers from the admission run (a
+// private copy of its Stats) when the run would repeat it:
+//
+//   - The placement is the machine the program was admitted on: a's
+//     cores there, in ascending order and with a's shared parameters,
+//     are the program's architecture (as arch.Subset builds it). PerCore
+//     is the admission run's, moved to global core indices; an unplaced
+//     core is idle for the whole run.
+//   - The fault plan cannot change the timing on those cores
+//     (fault.Plan.KeepsTiming): it drops no transfer and times no event
+//     on them. The engines drop every event on an unoccupied core, a
+//     bit-flip corrupts data but never timing, and the watchdog arms
+//     only for a hang on an occupied core (sim.Config.WatchdogCycles).
+//     The Corruptions come from sim.Checksums, the engines' own checksum
+//     pass, over the admission run's per-layer finish row (computed on
+//     the first such call and shared by every copy of the Result).
+//
+// Any other placement or plan, a Hook (a trace is a Recorder hook), a
+// Result without an admission run, and a cfg.Ctx that is already done
+// go to the engine, so a canceled context yields its own cancellation
+// error.
+func (r *Result) SimulateOn(a *arch.Arch, cores []int, cfg sim.Config) (*sim.Result, error) {
+	pl := []sim.Placement{{Program: r.Program, Cores: cores}}
+	if cores == nil {
+		pl = sim.Whole(r.Program)
+	}
+	on := r.admittedOn(a, cores)
+	if on == nil || cfg.Hook != nil || (cfg.Ctx != nil && cfg.Ctx.Err() != nil) || !cfg.Faults.KeepsTiming(on) {
+		return sim.RunConcurrent(a, pl, cfg)
 	}
 	var corrupts []sim.Corruption
 	if !cfg.Faults.Empty() {
-		if !cfg.Faults.FlipsOnly() {
-			return sim.Run(r.Program, cfg)
-		}
-		if err := cfg.Faults.ValidateFor(r.Program.Arch.NumCores()); err != nil {
+		if err := cfg.Faults.ValidateFor(a.NumCores()); err != nil {
 			return nil, err
 		}
-		row := r.clean.finishRow(r.Program)
-		if row == nil {
-			return sim.Run(r.Program, cfg)
+		if cfg.Faults.FlipRate > 0 {
+			row := r.clean.finishRow(r.Program)
+			if row == nil {
+				return sim.RunConcurrent(a, pl, cfg)
+			}
+			corrupts = sim.Checksums(cfg.Faults, pl, [][]float64{row}, nil)
 		}
-		corrupts = sim.Checksums(cfg.Faults, sim.Whole(r.Program), [][]float64{row}, nil)
 	}
-	st := r.clean.run.Stats
-	st.PerCore = append([]sim.CoreStats(nil), st.PerCore...)
-	st.ProgramCycles = append([]float64(nil), st.ProgramCycles...)
+	clean := &r.clean.run.Stats
+	st := *clean
+	st.ProgramCycles = append([]float64(nil), clean.ProgramCycles...)
+	st.PerCore = make([]sim.CoreStats, a.NumCores())
+	for c := range st.PerCore {
+		st.PerCore[c].Idle = st.TotalCycles
+	}
+	for i, c := range pl[0].Cores {
+		st.PerCore[c] = clean.PerCore[i]
+	}
 	return &sim.Result{Stats: st, Corruptions: corrupts}, nil
+}
+
+// admittedOn returns the cores of a the placement occupies, marked,
+// when the placement is the machine of the admission run (see
+// SimulateOn), and nil otherwise. The cores must ascend because the
+// engines order same-time work and equal bus shares by global core.
+func (r *Result) admittedOn(a *arch.Arch, cores []int) []bool {
+	if r.clean == nil {
+		return nil
+	}
+	on := make([]bool, a.NumCores())
+	sub := a
+	if cores == nil {
+		for c := range on {
+			on[c] = true
+		}
+	} else {
+		for i, c := range cores {
+			if c < 0 || c >= len(on) || (i > 0 && c <= cores[i-1]) {
+				return nil
+			}
+			on[c] = true
+		}
+		var err error
+		if sub, err = a.Subset(cores); err != nil {
+			return nil
+		}
+	}
+	if sub != r.Program.Arch && ArchKey(sub) != ArchKey(r.Program.Arch) {
+		return nil
+	}
+	return on
 }
 
 // compileOnce runs the four compile stages for one fallback attempt,

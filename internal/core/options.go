@@ -252,7 +252,7 @@ type Result struct {
 	Key CacheKey
 
 	// clean is the admission run: the program's fault-free simulation,
-	// shared by every copy of the Result (see Simulate).
+	// shared by every copy of the Result (see SimulateOn).
 	clean *admission
 }
 
@@ -262,7 +262,8 @@ type admission struct {
 	run *sim.Result
 
 	// finish is the run's per-layer finish row (a sim.LayerFinish row),
-	// computed on the first flip-only Simulate and kept for the rest.
+	// computed on the first SimulateOn that checksums flips and kept for
+	// the rest.
 	once   sync.Once
 	finish []float64
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -276,5 +277,96 @@ func TestFlipOnlySimulateReusesAdmissionRun(t *testing.T) {
 	_, wantErr := sim.Run(r.Program, bad)
 	if gotErr == nil || !reflect.DeepEqual(gotErr, wantErr) {
 		t.Fatalf("invalid flip plan: Simulate error %v, sim.Run error %v", gotErr, wantErr)
+	}
+}
+
+// TestSimulateOnReusesAdmissionRun: a program compiled for a core
+// subset and placed on those cores of the global machine is answered
+// from its admission run (a marked run shows through, PerCore moved to
+// global cores and an unplaced core idle throughout) when the plan has
+// nothing on the placed cores but flips; events on the unplaced core do
+// not count. Any event on a placed core, a drop, or a placement that is
+// not the admitted machine (other cores, or its own in descending order)
+// goes to the engine, and a plan naming a core the machine lacks gets
+// the engine's error.
+func TestSimulateOnReusesAdmissionRun(t *testing.T) {
+	a := arch.Exynos2100Like()
+	cores := []int{0, 2}
+	sub, err := a.Subset(cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Compile(models.TinyCNN(), sub, Stratum())
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := *res.clean.run
+	marked.Stats.TotalCycles = -1
+	r := *res
+	r.clean = &admission{run: &marked}
+	T := res.clean.run.Stats.TotalCycles
+
+	idle := &fault.Plan{Seed: 5, FlipRate: 0.2,
+		Deaths: []fault.Death{{Core: 1, AtCycle: T / 3}},
+		Hangs:  []fault.Hang{{Core: 1, AtCycle: T / 4, ResumeAfter: T / 8}}}
+	cfg := sim.Config{Faults: idle, WatchdogCycles: T / 20}
+	got, err := r.SimulateOn(a, cores, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.RunConcurrent(a, []sim.Placement{{Program: res.Program, Cores: cores}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.TotalCycles != -1 || len(got.Corruptions) == 0 || !reflect.DeepEqual(got.Corruptions, want.Corruptions) {
+		t.Fatalf("SimulateOn = %.0f cycles, %d corruptions; want the admission run's -1 and the engine's %d corruptions",
+			got.Stats.TotalCycles, len(got.Corruptions), len(want.Corruptions))
+	}
+	if len(got.Stats.PerCore) != a.NumCores() || got.Stats.PerCore[1] != (sim.CoreStats{Idle: -1}) ||
+		got.Stats.PerCore[2] != marked.Stats.PerCore[1] {
+		t.Fatalf("PerCore not moved to global cores: %+v", got.Stats.PerCore)
+	}
+
+	for name, c := range map[string]struct {
+		cores []int
+		plan  *fault.Plan
+	}{
+		"kill on a placed core":     {cores, &fault.Plan{Deaths: []fault.Death{{Core: 2, AtCycle: 2 * T}}}},
+		"slowdown on a placed core": {cores, &fault.Plan{Slowdowns: []fault.Slowdown{{Core: 0, AtCycle: T / 2, Factor: 0.5}}}},
+		"drop":                      {cores, &fault.Plan{Seed: 1, DropRate: 0.01}},
+		"other cores":               {[]int{1, 2}, nil},
+	} {
+		cfg := sim.Config{Faults: c.plan}
+		out, gotErr := r.SimulateOn(a, c.cores, cfg)
+		_, wantErr := sim.RunConcurrent(a, []sim.Placement{{Program: res.Program, Cores: c.cores}}, cfg)
+		if (out != nil && out.Stats.TotalCycles == -1) || !reflect.DeepEqual(gotErr, wantErr) {
+			t.Errorf("%s: answered from the admission run (err %v, engine err %v)", name, gotErr, wantErr)
+		}
+	}
+
+	// The engines order same-time work by global core, so a permuted
+	// placement is simulated even on the machine it was admitted for.
+	desc := []int{2, 0}
+	dsub, err := a.Subset(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dres, err := Compile(models.TinyCNN(), dsub, Stratum())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dmarked := *dres.clean.run
+	dmarked.Stats.TotalCycles = -1
+	dres.clean = &admission{run: &dmarked}
+	if out, err := dres.SimulateOn(a, desc, sim.Config{}); err != nil || out.Stats.TotalCycles == -1 {
+		t.Errorf("descending cores %v: answered from the admission run (err %v)", desc, err)
+	}
+
+	beyond := sim.Config{Faults: &fault.Plan{FlipRate: 0.1, Deaths: []fault.Death{{Core: 3, AtCycle: T}}}}
+	_, gotErr := r.SimulateOn(a, cores, beyond)
+	_, wantErr := sim.RunConcurrent(a, []sim.Placement{{Program: res.Program, Cores: cores}}, beyond)
+	var cre *fault.CoreRangeError
+	if !errors.As(gotErr, &cre) || !reflect.DeepEqual(gotErr, wantErr) {
+		t.Errorf("kill on core 3: SimulateOn error %v, engine error %v", gotErr, wantErr)
 	}
 }

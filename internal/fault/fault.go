@@ -115,12 +115,12 @@ func (p *Plan) Empty() bool {
 		len(p.Hangs) == 0 && len(p.Slowdowns) == 0)
 }
 
-// FlipsOnly reports whether bit-flips (FlipRate) are the plan's only
-// active fault kind. Such a plan corrupts data but never timing.
-func (p *Plan) FlipsOnly() bool {
-	return p != nil && p.FlipRate > 0 && p.DropRate <= 0 &&
-		len(p.Throttles) == 0 && len(p.Deaths) == 0 &&
-		len(p.Hangs) == 0 && len(p.Slowdowns) == 0
+// KeepsTiming reports whether the plan leaves the timing of a run on
+// the cores on marks (core c when c < len(on) and on[c]) exactly as a
+// fault-free run's: it drops no transfer, and its Timeline on those
+// cores is empty. A bit-flip corrupts data but never timing.
+func (p *Plan) KeepsTiming(on []bool) bool {
+	return p == nil || (p.DropRate <= 0 && len(p.Timeline(on, nil)) == 0)
 }
 
 // Retries returns the effective per-transfer retry bound.
@@ -302,33 +302,35 @@ type TimedEvent struct {
 // sorted by (AtCycle, kind, core, declaration order) — the order the
 // simulator's event engine consumes them in. The core tie-break keeps
 // the order independent of how the plan happened to list same-cycle,
-// same-kind events on different cores. Events naming cores at or
-// beyond ncores are dropped here (the simulator rejects them earlier
-// via ValidateFor). The returned slice is appended to buf, letting
+// same-kind events on different cores. Only events on the cores on
+// marks (core c when c < len(on) and on[c]) are kept: the simulator
+// marks the cores its placements occupy, after ValidateFor has rejected
+// cores the architecture lacks, since an event on a core with no work
+// has nothing to act on. The returned slice is appended to buf, letting
 // callers reuse a scratch buffer across runs without steady-state
 // allocation.
-func (p *Plan) Timeline(ncores int, buf []TimedEvent) []TimedEvent {
+func (p *Plan) Timeline(on []bool, buf []TimedEvent) []TimedEvent {
 	if p == nil {
 		return buf[:0]
 	}
 	out := buf[:0]
 	for _, t := range p.Throttles {
-		if t.Core < ncores {
+		if marked(on, t.Core) {
 			out = append(out, TimedEvent{Kind: KindThrottle, Core: t.Core, AtCycle: t.AtCycle, Factor: t.Factor})
 		}
 	}
 	for _, d := range p.Deaths {
-		if d.Core < ncores {
+		if marked(on, d.Core) {
 			out = append(out, TimedEvent{Kind: KindDeath, Core: d.Core, AtCycle: d.AtCycle})
 		}
 	}
 	for _, s := range p.Slowdowns {
-		if s.Core < ncores {
+		if marked(on, s.Core) {
 			out = append(out, TimedEvent{Kind: KindSlowdown, Core: s.Core, AtCycle: s.AtCycle, Factor: s.Factor})
 		}
 	}
 	for _, h := range p.Hangs {
-		if h.Core < ncores {
+		if marked(on, h.Core) {
 			out = append(out, TimedEvent{Kind: KindHang, Core: h.Core, AtCycle: h.AtCycle})
 			if h.ResumeAfter > 0 {
 				out = append(out, TimedEvent{Kind: KindResume, Core: h.Core, AtCycle: h.AtCycle + h.ResumeAfter})
@@ -346,6 +348,9 @@ func (p *Plan) Timeline(ncores int, buf []TimedEvent) []TimedEvent {
 	})
 	return out
 }
+
+// marked reports whether on marks core c.
+func marked(on []bool, c int) bool { return c < len(on) && on[c] }
 
 // ParseSpec parses the command-line fault specification: a
 // comma-separated list of clauses

@@ -144,7 +144,8 @@ func TestTimelineCollidingCycles(t *testing.T) {
 			{Core: 2, AtCycle: 50},
 		},
 	}
-	got := p.Timeline(3, nil)
+	all := []bool{true, true, true}
+	got := p.Timeline(all, nil)
 	want := []TimedEvent{
 		{Kind: KindDeath, Core: 2, AtCycle: 50},
 		{Kind: KindThrottle, Core: 0, AtCycle: 100, Factor: 0.25},
@@ -160,11 +161,15 @@ func TestTimelineCollidingCycles(t *testing.T) {
 		Throttles: []Throttle{p.Throttles[1], p.Throttles[0]},
 		Deaths:    []Death{p.Deaths[2], p.Deaths[0], p.Deaths[1]},
 	}
-	if got2 := q.Timeline(3, nil); !reflect.DeepEqual(got2, want) {
+	if got2 := q.Timeline(all, nil); !reflect.DeepEqual(got2, want) {
 		t.Errorf("permuted plan diverged:\n got %+v\nwant %+v", got2, want)
 	}
-	// Events on cores the architecture lacks stay inert.
-	if short := p.Timeline(1, nil); len(short) != 2 {
-		t.Errorf("ncores=1 timeline has %d events, want 2: %+v", len(short), short)
+	// Events on cores the architecture lacks, or no placement occupies,
+	// stay inert.
+	if short := p.Timeline([]bool{true}, nil); len(short) != 2 {
+		t.Errorf("one-core timeline has %d events, want 2: %+v", len(short), short)
+	}
+	if holed := p.Timeline([]bool{true, false, true}, nil); len(holed) != 4 {
+		t.Errorf("timeline without core 1 has %d events, want 4: %+v", len(holed), holed)
 	}
 }

@@ -18,10 +18,11 @@ import (
 // (TinyCNN, ConvChain, one named model) to generated cases: a randgraph
 // network, one of four machines and three configurations, and one core
 // killed or silently hung (caught by the watchdog) at a fuzzed cycle.
-// Whatever the outcome, recovery must be bit-exact, every stratum must
-// re-execute bit-exactly on its own, and the two views of a checkpoint
-// — the suffix after it and the stratum of everything outside it —
-// must build the same graph.
+// Whatever the outcome, recovery must be bit-exact, its final run must
+// equal both engines' runs of the suffix on the survivors, every
+// stratum must re-execute bit-exactly on its own, and the two views of
+// a checkpoint — the suffix after it and the stratum of everything
+// outside it — must build the same graph.
 
 var fuzzConfigs = []core.Options{core.Base(), core.Halo(), core.Stratum()}
 
@@ -68,10 +69,10 @@ func compileFor(t *testing.T, g *graph.Graph, a *arch.Arch, opt core.Options) *c
 }
 
 // checkRecovery runs res, compiled from g under opt, with one core lost
-// at frac of the clean latency, requires recovery to be bit-exact and
-// both views of the checkpoints involved to agree, and reports whether
-// the run lost the core (a late loss lands after the victim's last
-// instruction).
+// at frac of the clean latency, requires recovery to be bit-exact, its
+// final run to match both engines, and both views of the checkpoints
+// involved to agree, and reports whether the run lost the core (a late
+// loss lands after the victim's last instruction).
 func checkRecovery(t *testing.T, g *graph.Graph, res *core.Result, opt core.Options, hang bool, victim int, frac float64) bool {
 	t.Helper()
 	fin := sim.NewLayerFinish(sim.Whole(res.Program))
@@ -95,6 +96,7 @@ func checkRecovery(t *testing.T, g *graph.Graph, res *core.Result, opt core.Opti
 		if err := Validate(g, r); err != nil {
 			t.Errorf("recovered run not bit-exact: %v", err)
 		}
+		checkFinalMatchesEngines(t, res.Program.Arch, r, cfg)
 		checkComplementIsSuffix(t, g, r.Completed)
 	}
 	checkComplementIsSuffix(t, g, sim.CutAtCycle(res.Program, fin.Finish[0], frac*T))

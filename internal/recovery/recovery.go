@@ -278,7 +278,9 @@ func RecoverFrom(g *graph.Graph, a *arch.Arch, failure error, opts Options) (*Re
 
 		// Resume on the global architecture so the fault plan's core
 		// indices keep their meaning (dead cores are unplaced -> inert).
-		out, err := sim.RunConcurrent(a, []sim.Placement{{Program: res.Program, Cores: alive}}, opts.Sim)
+		// A plan with nothing left on the survivors repeats the suffix's
+		// admission run, so SimulateOn answers from it.
+		out, err := res.SimulateOn(a, alive, opts.Sim)
 		if err != nil {
 			if absorb(err, origin) {
 				continue

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/ops"
+	"repro/internal/recovery"
 	"repro/internal/serialize"
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -543,6 +545,116 @@ func TestConcurrentFlipOnlyRuns(t *testing.T) {
 	for range reqs {
 		if err := <-errs; err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// TestConcurrentRecoveredRuns: concurrent Recover requests that lose
+// the same core at the same cycle resume from one cached suffix Result,
+// whose final run is answered from the suffix's admission run. Every
+// reply must equal a recovery whose final run the engine simulated, and
+// every caller must get a private copy of the final run's stats: direct
+// recovery.Run callers scribble on theirs while the requests run (the
+// race detector catches any sharing), and a later recovery still reads
+// the engine's run.
+func TestConcurrentRecoveredRuns(t *testing.T) {
+	core.ResetCache()
+	defer core.ResetCache()
+	s := New(Options{Concurrency: 4, Queue: 64})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, _, er := postRun(t, ts, RunRequest{Model: "MobileNetV2"}); code != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %+v", code, er)
+	}
+	a := arch.Exynos2100Like()
+	opt := core.Stratum()
+	res, err := core.CompileCached(buildModel(t, "MobileNetV2"), a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := res.Simulate(sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := clean.Stats.TotalCycles
+
+	reqs := []RunRequest{
+		{Model: "MobileNetV2", Faults: fmt.Sprintf("kill=1@%.0f", 0.4*T), Recover: true},
+		{Model: "MobileNetV2", Faults: fmt.Sprintf("hang=2@%.0f,flip=0.05", 0.6*T), FaultSeed: 3,
+			WatchdogCycles: 0.05 * T, Recover: true},
+	}
+	cfgs := make([]sim.Config, len(reqs))
+	want := make([]*recovery.Result, len(reqs))
+	for i, req := range reqs {
+		plan, err := fault.ParseSpec(req.Faults, req.FaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs[i] = sim.Config{Faults: plan, WatchdogCycles: req.WatchdogCycles}
+		if want[i], err = recovery.Run(res, recovery.Options{Opt: opt, Sim: cfgs[i]}); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := sim.RunConcurrent(a, []sim.Placement{{Program: want[i].Compiled.Program, Cores: want[i].Survivors}}, cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want[i].Degraded() || !reflect.DeepEqual(want[i].Final, ev) {
+			t.Fatalf("request %d: recovery degraded %v, final run %+v, engine %+v", i, want[i].Degraded(), want[i].Final, ev)
+		}
+		want[i].Final = ev
+	}
+
+	const n = 16
+	errs := make(chan error, 2*n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			w := want[i%len(reqs)]
+			body, _ := json.Marshal(reqs[i%len(reqs)])
+			resp, err := ts.Client().Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			var rr RunResponse
+			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil || resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("request %d: status %d, decode error %v", i, resp.StatusCode, err)
+				return
+			}
+			if rr.TotalCycles != w.TotalCycles || !rr.Degraded || !reflect.DeepEqual(rr.DeadCores, w.DeadCores) ||
+				rr.Corruptions != len(w.Final.Corruptions) {
+				errs <- fmt.Errorf("request %d: served %+v, want %.0f cycles, dead cores %v, %d corruptions",
+					i, rr, w.TotalCycles, w.DeadCores, len(w.Final.Corruptions))
+				return
+			}
+			errs <- nil
+		}(i)
+		go func(i int) {
+			r, err := recovery.Run(res, recovery.Options{Opt: opt, Sim: cfgs[i%len(reqs)]})
+			if err != nil {
+				errs <- err
+				return
+			}
+			if !reflect.DeepEqual(r.Final, want[i%len(reqs)].Final) {
+				errs <- fmt.Errorf("direct recovery %d: final run %+v, want %+v", i, r.Final, want[i%len(reqs)].Final)
+				return
+			}
+			for c := range r.Final.Stats.PerCore {
+				r.Final.Stats.PerCore[c].MACs = -1
+			}
+			r.Final.Stats.ProgramCycles[0] = -1
+			errs <- nil
+		}(i)
+	}
+	for i := 0; i < 2*n; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for i := range reqs {
+		r, err := recovery.Run(res, recovery.Options{Opt: opt, Sim: cfgs[i]})
+		if err != nil || !reflect.DeepEqual(r.Final, want[i].Final) {
+			t.Errorf("request %d: a caller's writes leaked into a later recovery (err %v)", i, err)
 		}
 	}
 }

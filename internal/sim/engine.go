@@ -316,18 +316,19 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 	ncores := a.NumCores()
 	m.ncores = ncores
 
+	m.owner = resizeFill(m.owner, ncores, -1)
+	var err error
+	if m.after, err = placementOwners(placements, m.owner, m.after); err != nil {
+		return nil, err
+	}
+
 	m.fs = nil
-	active, err := m.fsStore.init(cfg.Faults, ncores)
+	active, err := m.fsStore.init(cfg.Faults, m.owner)
 	if err != nil {
 		return nil, err
 	}
 	if active {
 		m.fs = &m.fsStore
-	}
-
-	m.owner = resizeFill(m.owner, ncores, -1)
-	if m.after, err = placementOwners(placements, m.owner, m.after); err != nil {
-		return nil, err
 	}
 
 	// Global node numbering across placements and their cores.
@@ -492,11 +493,11 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 		}
 	}
 
-	// Watchdog heartbeat: armed only when the plan hangs a core, the
-	// one fault that can stall one, so a run with no hang is
-	// bit-identical with or without a watchdog.
+	// Watchdog heartbeat: armed only when the plan hangs an occupied
+	// core, the one fault that can stall one, so a run with no such
+	// hang is bit-identical with or without a watchdog.
 	m.wdH = 0
-	if cfg.WatchdogCycles > 0 && m.fs != nil && len(m.fs.plan.Hangs) > 0 {
+	if cfg.WatchdogCycles > 0 && m.fs != nil && m.fs.hangs {
 		m.wdH = cfg.WatchdogCycles
 	}
 	m.nextBeat = m.wdH

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -166,8 +167,10 @@ type faultState struct {
 	silentF    []float64
 	hung       []bool
 	dead       []bool
+	on         []bool             // occupied cores, the timeline's filter
 	events     []fault.TimedEvent // merged timeline, pending from pos on
 	pos        int
+	hangs      bool         // the timeline hangs a core: the watchdog arms
 	fired      []firedEvent // reusable fire() output buffer
 }
 
@@ -179,17 +182,30 @@ type firedEvent struct {
 	newSpeed float64 // effective speed after the event
 }
 
-// init validates and loads a plan for ncores cores, reusing fs's
-// buffers. It reports whether the plan injects anything; an empty
-// plan leaves the fault-free simulation path untouched. Plans naming
-// cores outside the architecture are rejected with a typed
-// *fault.CoreRangeError.
-func (fs *faultState) init(p *fault.Plan, ncores int) (bool, error) {
+// init validates and loads a plan for the cores of owner (global core
+// -> last placement on it, -1 unassigned; see placementOwners), reusing
+// fs's buffers. Plans naming cores outside the architecture are rejected
+// with a typed *fault.CoreRangeError. The timeline then keeps only the
+// events on occupied cores: an event on a core with no work has nothing
+// to act on, and dropping it keeps it from splitting steps or arming
+// the watchdog, so the run is bit-identical to one without it. init
+// reports whether the loaded plan injects anything; when it does not,
+// the fault-free simulation path stays untouched.
+func (fs *faultState) init(p *fault.Plan, owner []int32) (bool, error) {
 	if p.Empty() {
 		return false, nil
 	}
+	ncores := len(owner)
 	if err := p.ValidateFor(ncores); err != nil {
 		return false, err
+	}
+	fs.on = resize(fs.on, ncores)
+	for c := range fs.on {
+		fs.on[c] = owner[c] >= 0
+	}
+	fs.events = p.Timeline(fs.on, fs.events)
+	if p.DropRate <= 0 && p.FlipRate <= 0 && len(fs.events) == 0 {
+		return false, nil
 	}
 	fs.plan = p
 	fs.maxRetries = p.Retries()
@@ -212,16 +228,16 @@ func (fs *faultState) init(p *fault.Plan, ncores int) (bool, error) {
 		fs.hung[i] = false
 		fs.dead[i] = false
 	}
-	fs.events = p.Timeline(ncores, fs.events)
+	fs.hangs = slices.ContainsFunc(fs.events, func(ev fault.TimedEvent) bool { return ev.Kind == fault.KindHang })
 	fs.pos = 0
 	return true, nil
 }
 
-// newFaultState validates and instantiates a plan for ncores cores.
-// An empty (or nil) plan yields a nil state.
-func newFaultState(p *fault.Plan, ncores int) (*faultState, error) {
+// newFaultState validates and instantiates a plan for the cores of
+// owner (see init). A plan that injects nothing yields a nil state.
+func newFaultState(p *fault.Plan, owner []int32) (*faultState, error) {
 	fs := &faultState{}
-	active, err := fs.init(p, ncores)
+	active, err := fs.init(p, owner)
 	if err != nil || !active {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package sim_test
 import (
 	. "repro/internal/sim"
 
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -150,6 +151,127 @@ func TestGeneratedEngineEquivalence(t *testing.T) {
 			t.Errorf("no generated case produced a %s", want)
 		}
 	}
+}
+
+// TestUnoccupiedCoreEventsInert is the generated suite's metamorphic
+// case for fault events on cores no placement occupies: an engine drops
+// them, so they can neither split a step nor arm the watchdog. Each
+// program of the matrix is compiled for its machine without core 0
+// (and core n/2 on a machine of more than three cores) and placed on
+// the rest, under each plan of the matrix moved onto the occupied
+// cores, with the watchdog off and on. Adding a death, a hang with and
+// without a resume, a throttle and a slowdown on every unoccupied core
+// must leave both engines' outcomes as they were: the same Result, or
+// the same typed error. A plan naming a core the machine lacks is still
+// rejected.
+func TestUnoccupiedCoreEventsInert(t *testing.T) {
+	seeds := int64(16)
+	if testing.Short() {
+		seeds = 4
+	}
+	engines := map[string]func(*arch.Arch, []Placement, Config) (*Result, error){
+		"event": RunConcurrent, "reference": RunConcurrentReference,
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		for _, a := range genArchs() {
+			n := a.NumCores()
+			var cores, idle []int
+			for c := 0; c < n; c++ {
+				if c == 0 || (n > 3 && c == n/2) {
+					idle = append(idle, c)
+				} else {
+					cores = append(cores, c)
+				}
+			}
+			sub, err := a.Subset(cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opt := range genConfigs {
+				prog, T := genProgram(t, seed, sub, opt)
+				pl := []Placement{{Program: prog, Cores: cores}}
+				for _, name := range genPlans {
+					for _, wd := range []float64{0, T / 37} {
+						cfg := genConfig(name, uint64(seed)+1, T)
+						cfg.Faults = movedOnto(cfg.Faults, cores)
+						cfg.WatchdogCycles = max(cfg.WatchdogCycles, wd)
+						noisy := cfg
+						noisy.Faults = withIdleEvents(cfg.Faults, idle, T)
+						for engine, run := range engines {
+							want, wantErr := run(a, pl, cfg)
+							got, gotErr := run(a, pl, noisy)
+							if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
+								t.Fatalf("seed%d/%s/%s/%s watchdog %g: %s engine with events on idle cores %v: %+v (err %v), without: %+v (err %v)",
+									seed, a.Name, opt.Name(), name, cfg.WatchdogCycles, engine, idle, got, gotErr, want, wantErr)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	a := arch.Exynos2100Like()
+	sub, err := a.Subset([]int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, T := genProgram(t, 0, sub, core.Stratum())
+	beyond := &fault.Plan{Hangs: []fault.Hang{{Core: a.NumCores(), AtCycle: T / 2}}}
+	for engine, run := range engines {
+		_, err := run(a, []Placement{{Program: prog, Cores: []int{1, 2}}}, Config{Faults: beyond, WatchdogCycles: T / 10})
+		var cre *fault.CoreRangeError
+		if !errors.As(err, &cre) || cre.Core != a.NumCores() {
+			t.Errorf("%s engine: hang on core %d of a %d-core machine: err %v, want *fault.CoreRangeError",
+				engine, a.NumCores(), a.NumCores(), err)
+		}
+	}
+}
+
+// movedOnto returns a copy of p with every event's core c moved to
+// cores[c % len(cores)].
+func movedOnto(p *fault.Plan, cores []int) *fault.Plan {
+	if p == nil {
+		return nil
+	}
+	q := *p
+	q.Throttles, q.Deaths, q.Hangs, q.Slowdowns = nil, nil, nil, nil
+	on := func(c int) int { return cores[c%len(cores)] }
+	for _, e := range p.Throttles {
+		q.Throttles = append(q.Throttles, fault.Throttle{Core: on(e.Core), AtCycle: e.AtCycle, Factor: e.Factor})
+	}
+	for _, e := range p.Deaths {
+		q.Deaths = append(q.Deaths, fault.Death{Core: on(e.Core), AtCycle: e.AtCycle})
+	}
+	for _, e := range p.Hangs {
+		q.Hangs = append(q.Hangs, fault.Hang{Core: on(e.Core), AtCycle: e.AtCycle, ResumeAfter: e.ResumeAfter})
+	}
+	for _, e := range p.Slowdowns {
+		q.Slowdowns = append(q.Slowdowns, fault.Slowdown{Core: on(e.Core), AtCycle: e.AtCycle, Factor: e.Factor})
+	}
+	return &q
+}
+
+// withIdleEvents returns a copy of p (an empty plan for nil) that also
+// kills, hangs (once resuming, once for good), throttles and slows every
+// idle core at fractions of the clean latency T.
+func withIdleEvents(p *fault.Plan, idle []int, T float64) *fault.Plan {
+	q := fault.Plan{}
+	if p != nil {
+		q = *p
+	}
+	q.Throttles = append([]fault.Throttle(nil), q.Throttles...)
+	q.Deaths = append([]fault.Death(nil), q.Deaths...)
+	q.Hangs = append([]fault.Hang(nil), q.Hangs...)
+	q.Slowdowns = append([]fault.Slowdown(nil), q.Slowdowns...)
+	for _, c := range idle {
+		q.Hangs = append(q.Hangs, fault.Hang{Core: c, AtCycle: 0.15 * T, ResumeAfter: 0.1 * T},
+			fault.Hang{Core: c, AtCycle: 0.55 * T})
+		q.Throttles = append(q.Throttles, fault.Throttle{Core: c, AtCycle: 0.3 * T, Factor: 0.5})
+		q.Slowdowns = append(q.Slowdowns, fault.Slowdown{Core: c, AtCycle: 0.4 * T, Factor: 0.7})
+		q.Deaths = append(q.Deaths, fault.Death{Core: c, AtCycle: 0.65 * T})
+	}
+	return &q
 }
 
 // FuzzEngineMatchesReference searches the same matrix with fuzzed graph

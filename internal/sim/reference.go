@@ -60,7 +60,16 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 	model := cost.New(a)
 	ncores := a.NumCores()
 
-	fs, err := newFaultState(cfg.Faults, ncores)
+	owner := make([]int32, ncores)
+	for i := range owner {
+		owner[i] = -1
+	}
+	after, err := placementOwners(placements, owner, nil)
+	if err != nil {
+		return nil, err
+	}
+
+	fs, err := newFaultState(cfg.Faults, owner)
 	if err != nil {
 		return nil, err
 	}
@@ -69,15 +78,6 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 			return 1
 		}
 		return fs.speed[c]
-	}
-
-	owner := make([]int32, ncores)
-	for i := range owner {
-		owner[i] = -1
-	}
-	after, err := placementOwners(placements, owner, nil)
-	if err != nil {
-		return nil, err
 	}
 
 	// Global node numbering across placements and their cores.
@@ -170,9 +170,9 @@ func RunConcurrentReference(a *arch.Arch, placements []Placement, cfg Config) (*
 	}
 
 	// Watchdog heartbeat (see Config.WatchdogCycles): armed only when
-	// the plan hangs a core.
+	// the plan hangs an occupied core.
 	wdH := 0.0
-	if cfg.WatchdogCycles > 0 && fs != nil && len(fs.plan.Hangs) > 0 {
+	if cfg.WatchdogCycles > 0 && fs != nil && fs.hangs {
 		wdH = cfg.WatchdogCycles
 	}
 	nextBeat := wdH

@@ -189,11 +189,13 @@ type Config struct {
 	// owes instructions but shows no forward progress fails the run
 	// with a typed *HangDetected carrying the recovery checkpoint.
 	// Zero disables the watchdog. It arms only when Faults hangs a core
-	// (fault.Plan.Hangs), the one fault that can stall one: a heartbeat
-	// splits a step's DMA draining (moving timings by the last ulp), so
-	// a run without a hang stays bit-identical with or without it. A
-	// flip-only run thus times exactly like the clean run, which is why
-	// core.Result.Simulate can answer it from the admission run.
+	// some placement occupies (fault.Plan.Hangs), the one fault that can
+	// stall one: a heartbeat splits a step's DMA draining (moving timings
+	// by the last ulp), so a run without such a hang stays bit-identical
+	// with or without it. Both engines drop every fault event on an
+	// unoccupied core for the same reason. A run whose plan has nothing
+	// on its cores but flips thus times exactly like the clean run, which
+	// is why core.Result.SimulateOn can answer it from the admission run.
 	WatchdogCycles float64
 }
 
