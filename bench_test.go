@@ -24,10 +24,12 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/tenancy"
 )
@@ -359,6 +361,40 @@ func BenchmarkTenancyRun(b *testing.B) {
 					tenancy.ResetMemo()
 				}
 				runAll(b)
+			}
+		})
+	}
+}
+
+// BenchmarkRecoverKill measures a faulted /run on a cached Result:
+// core 1 dies halfway through the clean run, so one op is the faulted
+// first attempt, the remap of the unfinished suffix onto cores 0 and 2
+// (a compile-cache hit after the first op) and the resumed run, which
+// the suffix's admission run answers.
+func BenchmarkRecoverKill(b *testing.B) {
+	a := arch.Exynos2100Like()
+	for _, name := range []string{"InceptionV3", "MobileNetV2"} {
+		res, err := core.CompileCached(models.ByNameMust(name), a, core.Stratum())
+		if err != nil {
+			b.Fatal(err)
+		}
+		clean, err := res.Simulate(sim.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := recovery.Options{Opt: core.Stratum(), Sim: sim.Config{
+			Faults: &fault.Plan{Deaths: []fault.Death{{Core: 1, AtCycle: 0.5 * clean.Stats.TotalCycles}}},
+		}}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := recovery.Run(res, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !r.Degraded() {
+					b.Fatal("the kill did not fire")
+				}
 			}
 		})
 	}

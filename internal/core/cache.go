@@ -191,6 +191,7 @@ var (
 	compileCache sync.Map
 	cacheHits    atomic.Int64
 	cacheMisses  atomic.Int64
+	cacheGen     atomic.Uint64
 )
 
 // CompileCached is Compile with memoization keyed by Fingerprint. The
@@ -234,7 +235,8 @@ func CacheStats() (hits, misses int64) {
 }
 
 // ResetCache drops every cached compilation and zeroes the counters
-// (benchmarks use it to measure cold compiles).
+// (benchmarks use it to measure cold compiles), then starts a new
+// CacheGeneration.
 func ResetCache() {
 	compileCache.Range(func(k, _ any) bool {
 		compileCache.Delete(k)
@@ -242,4 +244,12 @@ func ResetCache() {
 	})
 	cacheHits.Store(0)
 	cacheMisses.Store(0)
+	cacheGen.Add(1)
 }
+
+// CacheGeneration counts ResetCache calls. A memo of work derived from
+// cached compiles (the recovery remap memo) keys on it, so none of its
+// entries outlives the compile it holds: an entry read under a
+// generation was stored under the same one, after the reset that began
+// it had emptied the cache.
+func CacheGeneration() uint64 { return cacheGen.Load() }

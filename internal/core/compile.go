@@ -215,7 +215,10 @@ func (r *Result) Simulate(cfg sim.Config) (*sim.Result, error) {
 // Any other placement or plan, a Hook (a trace is a Recorder hook), a
 // Result without an admission run, and a cfg.Ctx that is already done
 // go to the engine, so a canceled context yields its own cancellation
-// error.
+// error. A faulted engine run on the admitted whole machine (recovery's
+// first attempt) runs the program's prepared layout (sim.Prepare),
+// built once and shared like the admission run; every other engine run
+// builds its own, so a program simulated once keeps no layout.
 func (r *Result) SimulateOn(a *arch.Arch, cores []int, cfg sim.Config) (*sim.Result, error) {
 	pl := []sim.Placement{{Program: r.Program, Cores: cores}}
 	if cores == nil {
@@ -223,6 +226,11 @@ func (r *Result) SimulateOn(a *arch.Arch, cores []int, cfg sim.Config) (*sim.Res
 	}
 	on := r.admittedOn(a, cores)
 	if on == nil || cfg.Hook != nil || (cfg.Ctx != nil && cfg.Ctx.Err() != nil) || !cfg.Faults.KeepsTiming(on) {
+		if on != nil && !cfg.Faults.Empty() && len(pl[0].Cores) == a.NumCores() {
+			if lay := r.clean.layout(r.Program); lay != nil {
+				return lay.Run(cfg)
+			}
+		}
 		return sim.RunConcurrent(a, pl, cfg)
 	}
 	var corrupts []sim.Corruption

@@ -261,6 +261,12 @@ type Result struct {
 type admission struct {
 	run *sim.Result
 
+	// lay is the program's prepared layout on its whole machine, built
+	// on the first faulted engine run there (see SimulateOn) and shared
+	// by every run after it.
+	layOnce sync.Once
+	lay     *sim.Layout
+
 	// finish is the run's per-layer finish row (a sim.LayerFinish row),
 	// computed on the first SimulateOn that checksums flips and kept for
 	// the rest.
@@ -268,14 +274,24 @@ type admission struct {
 	finish []float64
 }
 
-// finishRow returns p's clean per-layer finish row, simulating p once
-// with a LayerFinish hook the first time it is asked for; nil if that
-// run fails.
+// layout returns p's prepared layout on its whole machine, building it
+// the first time it is asked for; nil if p cannot be laid out.
+func (c *admission) layout(p *plan.Program) *sim.Layout {
+	c.layOnce.Do(func() { c.lay, _ = sim.Prepare(p.Arch, sim.Whole(p)) })
+	return c.lay
+}
+
+// finishRow returns p's clean per-layer finish row, simulating p's
+// layout once with a LayerFinish hook the first time it is asked for;
+// nil if that run fails.
 func (c *admission) finishRow(p *plan.Program) []float64 {
 	c.once.Do(func() {
-		whole := sim.Whole(p)
-		fin := sim.NewLayerFinish(whole)
-		if _, err := sim.RunConcurrent(p.Arch, whole, sim.Config{Hook: fin}); err == nil {
+		lay := c.layout(p)
+		if lay == nil {
+			return
+		}
+		fin := sim.NewLayerFinish(sim.Whole(p))
+		if _, err := lay.Run(sim.Config{Hook: fin}); err == nil {
 			c.finish = fin.Finish[0]
 		}
 	})

@@ -370,3 +370,70 @@ func TestSimulateOnReusesAdmissionRun(t *testing.T) {
 		t.Errorf("kill on core 3: SimulateOn error %v, engine error %v", gotErr, wantErr)
 	}
 }
+
+// TestFaultedSimulateRunsPreparedLayout: a faulted engine run on the
+// admitted whole machine goes through the program's prepared layout,
+// built once and shared by every copy of the Result, and matches a
+// fresh sim.Run bit for bit, typed failures and traces included; an
+// unfaulted traced run and a run on other cores build no layout.
+func TestFaultedSimulateRunsPreparedLayout(t *testing.T) {
+	a := arch.Exynos2100Like()
+	names := []string{"MobileNetV2", "InceptionV3", "MobileNetV2-SSD", "MobileDet-SSD"}
+	if testing.Short() {
+		names = names[:1]
+	}
+	for _, name := range names {
+		res, err := Compile(models.ByNameMust(name), a, Stratum())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := res.Simulate(sim.Config{Hook: &sim.Recorder{}}); err != nil || res.clean.lay != nil {
+			t.Fatalf("%s: an unfaulted traced run built a layout (err %v)", name, err)
+		}
+		T := res.clean.run.Stats.TotalCycles
+		plans := map[string]sim.Config{
+			"kill":      {Faults: &fault.Plan{Deaths: []fault.Death{{Core: 1, AtCycle: T / 2}}}},
+			"hang":      {Faults: &fault.Plan{Hangs: []fault.Hang{{Core: 2, AtCycle: T / 3}}}, WatchdogCycles: T / 20},
+			"drop":      {Faults: &fault.Plan{Seed: 3, DropRate: 0.05, MaxRetries: 12}},
+			"throttle":  {Faults: &fault.Plan{Throttles: []fault.Throttle{{Core: 0, AtCycle: T / 4, Factor: 0.5}}}},
+			"kill+flip": {Faults: &fault.Plan{Seed: 7, FlipRate: 0.05, Deaths: []fault.Death{{Core: 0, AtCycle: 0.7 * T}}}},
+		}
+		var lay *sim.Layout
+		for plan, cfg := range plans {
+			for _, traced := range []bool{false, true} {
+				wantCfg, gotCfg := cfg, cfg
+				wantRec, gotRec := &sim.Recorder{}, &sim.Recorder{}
+				if traced {
+					wantCfg.Hook, gotCfg.Hook = wantRec, gotRec
+				}
+				want, wantErr := sim.Run(res.Program, wantCfg)
+				r := *res // a cache hit's copy shares the layout
+				got, gotErr := r.Simulate(gotCfg)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) ||
+					!reflect.DeepEqual(gotRec.Events, wantRec.Events) {
+					t.Fatalf("%s %s (traced %v): Simulate %+v (err %v, %d events), sim.Run %+v (err %v, %d events)",
+						name, plan, traced, got, gotErr, len(gotRec.Events), want, wantErr, len(wantRec.Events))
+				}
+				if lay == nil {
+					lay = res.clean.lay
+				}
+				if lay == nil || res.clean.lay != lay {
+					t.Fatalf("%s %s: layout %p, first built %p", name, plan, res.clean.lay, lay)
+				}
+			}
+		}
+	}
+
+	sub, err := a.Subset([]int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Compile(models.TinyCNN(), sub, Stratum())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill := sim.Config{Faults: &fault.Plan{Deaths: []fault.Death{{Core: 2, AtCycle: res.clean.run.Stats.TotalCycles / 2}}}}
+	if _, err := res.SimulateOn(a, []int{0, 2}, kill); err == nil || res.clean.lay != nil {
+		t.Errorf("a faulted run on cores [0 2] of the global machine built a layout (err %v)", err)
+	}
+}

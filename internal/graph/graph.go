@@ -45,16 +45,23 @@ type Graph struct {
 	DType  tensor.DType // default element type for new layers
 	layers []*Layer
 	byName map[string]LayerID
-	users  map[LayerID][]LayerID
+	users  [][]LayerID // by layer ID; nil for a layer nothing reads
 }
 
 // New returns an empty graph whose layers default to element type dt.
 func New(name string, dt tensor.DType) *Graph {
+	return NewSized(name, dt, 0)
+}
+
+// NewSized is New for a graph that will hold about n layers: it
+// allocates their bookkeeping up front.
+func NewSized(name string, dt tensor.DType, n int) *Graph {
 	return &Graph{
 		Name:   name,
 		DType:  dt,
-		byName: make(map[string]LayerID),
-		users:  make(map[LayerID][]LayerID),
+		layers: make([]*Layer, 0, n),
+		byName: make(map[string]LayerID, n),
+		users:  make([][]LayerID, 0, n),
 	}
 }
 
@@ -87,6 +94,7 @@ func (g *Graph) Add(name string, op ops.Op, inputs ...LayerID) (LayerID, error) 
 	}
 	g.layers = append(g.layers, l)
 	g.byName[name] = id
+	g.users = append(g.users, nil)
 	for _, in := range inputs {
 		g.users[in] = append(g.users[in], id)
 	}

@@ -78,6 +78,9 @@ func TestUsersAndOutputs(t *testing.T) {
 	if len(users) != 2 || users[0] != b || users[1] != c {
 		t.Errorf("Users(a) = %v", users)
 	}
+	if users := g.Users(d); users != nil {
+		t.Errorf("Users(d) = %#v, want nil for a layer nothing reads", users)
+	}
 	outs := g.OutputLayers()
 	if len(outs) != 1 || outs[0].ID != d {
 		t.Errorf("OutputLayers = %v", outs)

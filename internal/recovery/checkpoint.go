@@ -45,6 +45,19 @@ func (c *Checkpoint) Layers() []graph.LayerID {
 	return out
 }
 
+// key packs a non-empty checkpoint's layer set into a string, a bit
+// per layer ID (the graph's fingerprint fixes how many layers there
+// are).
+func (c *Checkpoint) key() string {
+	b := make([]byte, (len(c.done)+7)/8)
+	for id, done := range c.done {
+		if done {
+			b[id/8] |= 1 << (id % 8)
+		}
+	}
+	return string(b)
+}
+
 // suffixGraph is SuffixGraph of the checkpoint's layers.
 func (c *Checkpoint) suffixGraph(g *graph.Graph) (*graph.Graph, map[graph.LayerID]graph.LayerID, error) {
 	keep := make([]bool, g.Len())

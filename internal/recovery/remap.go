@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/bounded"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -31,17 +32,28 @@ type Remapped struct {
 // through the fingerprint compile cache: suffix graphs are rebuilt
 // deterministically and fingerprint structurally, so re-mapping the
 // same (graph, checkpoint, subset, options) point twice compiles once
-// and returns bit-identical programs. This is the primitive the
-// tenancy scheduler uses to move surviving tenants when a tenant
-// arrives or departs mid-run, and what the recovery loop uses after a
-// core death.
+// and returns bit-identical programs. A repeated non-empty point is
+// served from the remap memo without rebuilding the suffix: the hit is
+// a private copy of the Remapped, sharing its suffix graph and origin
+// map (read-only) and a shallow copy of its compile with CacheHit set,
+// as a compile-cache hit is. This is the primitive the tenancy
+// scheduler uses to move surviving tenants when a tenant arrives or
+// departs mid-run, and what the recovery loop uses after a core death.
 func Remap(ctx context.Context, g *graph.Graph, c *Checkpoint, a *arch.Arch, cores []int, opt core.Options) (*Remapped, error) {
 	sub, err := a.Subset(cores)
 	if err != nil {
 		return nil, fmt.Errorf("recovery: remap %s: %w", g.Name, err)
 	}
 	suffix, origin := g, map[graph.LayerID]graph.LayerID(nil)
+	var key remapKey
 	if !c.Empty() {
+		key = remapKeyOf(g, c, sub, opt)
+		if rm, ok := remaps.Get(key); ok {
+			out, res := *rm, *rm.Compiled
+			res.CacheHit = true
+			out.Compiled = &res
+			return &out, nil
+		}
 		suffix, origin, err = c.suffixGraph(g)
 		if err != nil {
 			return nil, err
@@ -51,5 +63,41 @@ func Remap(ctx context.Context, g *graph.Graph, c *Checkpoint, a *arch.Arch, cor
 	if err != nil {
 		return nil, fmt.Errorf("recovery: remapping %s onto %d cores: %w", g.Name, len(cores), err)
 	}
+	if origin != nil {
+		// The entry keeps the compiled program's own graph: the suffix
+		// itself or, after a compile-cache hit, one of its fingerprint.
+		stored := *res
+		remaps.Put(key, &Remapped{Suffix: res.Program.Graph, Origin: origin, Compiled: &stored})
+	}
 	return &Remapped{Suffix: suffix, Origin: origin, Compiled: res}, nil
 }
+
+// remapEntries bounds the remap memo. Beyond what the compile cache
+// already holds (the suffix graph is the compiled program's own), an
+// entry holds its key, a bit per layer of the checkpoint, and the
+// suffix's origin map, two layer IDs per suffix layer: under 16 KB for
+// a Table 2 model (at most 220 layers), so a full memo holds under
+// 16 MB.
+const remapEntries = 1024
+
+// remapKey names one remap point: the compile cache's generation (so
+// no entry outlives the compile it holds: core.ResetCache moves every
+// lookup to a fresh generation), the Fingerprint of the whole graph on
+// the core subset with the options, and the checkpoint's layer set.
+type remapKey struct {
+	gen   uint64
+	point core.CacheKey
+	done  string
+}
+
+func remapKeyOf(g *graph.Graph, c *Checkpoint, sub *arch.Arch, opt core.Options) remapKey {
+	return remapKey{gen: core.CacheGeneration(), point: core.Fingerprint(g, sub, opt), done: c.key()}
+}
+
+// remaps memoizes Remap on non-empty checkpoints, process-wide.
+var remaps = bounded.New[remapKey, *Remapped](remapEntries)
+
+// RemapMemoStats reports cumulative remap memo hits and misses. A remap
+// from an empty checkpoint, a compile-cache lookup already, counts as
+// neither.
+func RemapMemoStats() (hits, misses int64) { return remaps.Stats() }

@@ -6,12 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bounded"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/keytest"
 	"repro/internal/models"
+	"repro/internal/partition"
 	"repro/internal/serialize"
 	"repro/internal/sim"
+	"repro/internal/stratum"
 )
 
 // programBytes serializes a program for bit-exact comparison.
@@ -116,7 +120,7 @@ func TestRemapFromTraceCutBitExact(t *testing.T) {
 }
 
 // Re-mapping the same (graph, checkpoint, subset, options) point twice
-// must compile once: suffix graphs fingerprint structurally.
+// must compile once: the repeat is a hit, served by the remap memo.
 func TestRemapHitsCompileCache(t *testing.T) {
 	g := models.ConvChain(5, 48, 48, 16)
 	a := arch.Exynos2100Like()
@@ -128,17 +132,19 @@ func TestRemapHitsCompileCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits0, misses0 := core.CacheStats()
+	_, misses0 := core.CacheStats()
+	memoHits0, _ := RemapMemoStats()
 	second, err := Remap(nil, g, checkpointOf(g, cf.Completed), a, []int{1, 2}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits1, misses1 := core.CacheStats()
+	_, misses1 := core.CacheStats()
+	memoHits1, _ := RemapMemoStats()
 	if misses1 != misses0 {
 		t.Errorf("identical remap recompiled: %d fresh compiles", misses1-misses0)
 	}
-	if hits1 <= hits0 {
-		t.Error("identical remap did not hit the compile cache")
+	if !second.Compiled.CacheHit || memoHits1 <= memoHits0 {
+		t.Error("identical remap was not a hit")
 	}
 	if !bytes.Equal(programBytes(t, first.Compiled), programBytes(t, second.Compiled)) {
 		t.Error("cached remap is not bit-identical to the first")
@@ -202,5 +208,100 @@ func TestSuffixFingerprintStable(t *testing.T) {
 	}
 	if key(cut) == key(cut[:3]) {
 		t.Error("different cuts share a fingerprint")
+	}
+}
+
+// remapKeyInputs is what the remap memo key covers beyond the graph and
+// the checkpoint: the core subset's architecture and the options.
+type remapKeyInputs struct {
+	Arch arch.Arch
+	Opt  core.Options
+}
+
+// The remap memo key changes with every arch and option field, with
+// each layer of the checkpoint, and with the core subset; each such
+// change misses the memo. A hit is DeepEqual to a remap that bypasses
+// the memo, and core.ResetCache leaves nothing for the memo to hit.
+func TestRemapMemoKeyCoversInputs(t *testing.T) {
+	g := models.ByNameMust("MobileNetV2")
+	var ckpt Checkpoint
+	ckpt.Fold(g, []graph.LayerID{0, 1, 2, 3}, nil)
+	fresh := func() remapKeyInputs {
+		o := core.Stratum()
+		o.WeightScale = []float64{1, 0.9}
+		o.ForceMethods = []partition.MethodID{partition.MethodAuto, partition.MethodAuto}
+		o.StratumBoundary = []stratum.Boundary{stratum.BoundaryAuto, stratum.BoundaryAuto}
+		return remapKeyInputs{Arch: *arch.Exynos2100Like(), Opt: o}
+	}
+	keytest.CheckEveryField(t, fresh, func(in remapKeyInputs) remapKey {
+		return remapKeyOf(g, &ckpt, &in.Arch, in.Opt)
+	})
+
+	a := arch.Exynos2100Like()
+	opt := core.Stratum()
+	remap := func(c *Checkpoint, cores []int) (*Remapped, bool) {
+		t.Helper()
+		hits0, _ := RemapMemoStats()
+		rm, err := Remap(nil, g, c, a, cores, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits1, _ := RemapMemoStats()
+		return rm, hits1 > hits0
+	}
+	core.ResetCache()
+	defer core.ResetCache()
+	if _, hit := remap(&ckpt, []int{0, 1}); hit {
+		t.Fatal("the first remap of a fresh cache generation hit the memo")
+	}
+	hit, ok := remap(&ckpt, []int{0, 1})
+	if !ok || !hit.Compiled.CacheHit {
+		t.Fatalf("a repeated remap missed the memo (CacheHit %v)", hit.Compiled.CacheHit)
+	}
+
+	var shorter, longer Checkpoint
+	shorter.Fold(g, []graph.LayerID{0, 1, 2}, nil)
+	longer.Fold(g, []graph.LayerID{0, 1, 2, 3, 4}, nil)
+	for name, c := range map[string]struct {
+		ckpt  *Checkpoint
+		cores []int
+	}{
+		"one layer fewer":        {&shorter, []int{0, 1}},
+		"one layer more":         {&longer, []int{0, 1}},
+		"cores [1 2]":            {&ckpt, []int{1, 2}},
+		"cores [0 2]":            {&ckpt, []int{0, 2}},
+		"cores [0] of the three": {&ckpt, []int{0}},
+	} {
+		sub, err := a.Subset(c.cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ckpt == &ckpt && core.ArchKey(sub) == hit.Compiled.Key.Arch {
+			t.Fatalf("%s: the subset shares the ArchKey of cores [0 1]", name)
+		}
+		if _, ok := remap(c.ckpt, c.cores); ok {
+			t.Errorf("%s: hit the memo entry of another point", name)
+		}
+	}
+
+	prev := remaps
+	remaps = bounded.New[remapKey, *Remapped](0)
+	bypass, err := Remap(nil, g, &ckpt, a, []int{0, 1}, opt)
+	remaps = prev
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hit, bypass) {
+		t.Error("a memo hit differs from a remap that bypasses the memo")
+	}
+	hit.Compiled.Fallback = -1
+	hit.Origin = nil
+	if again, _ := remap(&ckpt, []int{0, 1}); !reflect.DeepEqual(again, bypass) {
+		t.Error("a caller's writes to a hit leaked into the memo")
+	}
+
+	core.ResetCache()
+	if _, ok := remap(&ckpt, []int{0, 1}); ok {
+		t.Error("the memo hit after core.ResetCache")
 	}
 }

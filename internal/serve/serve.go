@@ -203,6 +203,11 @@ type Stats struct {
 	// from, and simulated into, the tenancy co-run memo.
 	CoRunMemoHits   int64
 	CoRunMemoMisses int64
+	// RemapMemoHits and RemapMemoMisses count recoveries' and /tenants'
+	// remaps of a checkpointed suffix served from, and built into, the
+	// recovery remap memo.
+	RemapMemoHits   int64
+	RemapMemoMisses int64
 
 	Latency metrics.HistogramSnapshot
 }
@@ -309,6 +314,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Stats() Stats {
 	hits, misses := core.CacheStats()
 	memoHits, memoMisses := tenancy.MemoStats()
+	remapHits, remapMisses := recovery.RemapMemoStats()
 	return Stats{
 		Accepted:           s.accepted.Load(),
 		Rejected:           s.rejected.Load(),
@@ -325,6 +331,8 @@ func (s *Server) Stats() Stats {
 		CompileCacheMisses: misses,
 		CoRunMemoHits:      memoHits,
 		CoRunMemoMisses:    memoMisses,
+		RemapMemoHits:      remapHits,
+		RemapMemoMisses:    remapMisses,
 		Latency:            s.latency.Snapshot(),
 	}
 }

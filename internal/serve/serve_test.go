@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -655,6 +656,152 @@ func TestConcurrentRecoveredRuns(t *testing.T) {
 		r, err := recovery.Run(res, recovery.Options{Opt: opt, Sim: cfgs[i]})
 		if err != nil || !reflect.DeepEqual(r.Final, want[i].Final) {
 			t.Errorf("request %d: a caller's writes leaked into a later recovery (err %v)", i, err)
+		}
+	}
+}
+
+// Concurrent faulted /runs and direct recoveries of cached Results share
+// each program's prepared layout (every first attempt) and the remap
+// memo's entries (every resumed suffix). Each reply matches a sequential
+// recovery whose first attempt is a fresh engine run, and once those
+// have filled the memo no remap builds a suffix.
+func TestConcurrentFaultedRunsShareLayoutAndRemaps(t *testing.T) {
+	core.ResetCache()
+	defer core.ResetCache()
+	s := New(Options{Concurrency: 4, Queue: 64})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	a := arch.Exynos2100Like()
+	opt := core.Stratum()
+
+	type job struct {
+		req  RunRequest
+		res  *core.Result
+		cfg  sim.Config
+		want *recovery.Result
+	}
+	var jobs []job
+	for _, model := range []string{"MobileNetV2", "InceptionV3"} {
+		res, err := core.CompileCached(buildModel(t, model), a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, err := res.Simulate(sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		T := clean.Stats.TotalCycles
+		for _, f := range []struct {
+			spec     string
+			watchdog float64
+		}{
+			{fmt.Sprintf("kill=0@%.0f", 0.3*T), 0},
+			{fmt.Sprintf("kill=1@%.0f,flip=0.05", 0.5*T), 0},
+			{fmt.Sprintf("hang=2@%.0f", 0.7*T), 0.05 * T},
+			{fmt.Sprintf("throttle=1@%.0fx0.5", 0.2*T), 0},
+		} {
+			req := RunRequest{Model: model, Faults: f.spec, FaultSeed: 5, WatchdogCycles: f.watchdog, Recover: true}
+			plan, err := fault.ParseSpec(req.Faults, req.FaultSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.Config{Faults: plan, WatchdogCycles: f.watchdog}
+			want := &recovery.Result{}
+			first, err := sim.Run(res.Program, cfg)
+			if err == nil {
+				want.Final, want.TotalCycles = first, first.Stats.TotalCycles
+			} else if want, err = recovery.RecoverFrom(res.Program.Graph, a, err, recovery.Options{Opt: opt, Sim: cfg}); err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, job{req, res, cfg, want})
+		}
+	}
+
+	hits0, misses0 := recovery.RemapMemoStats()
+	const n = 24
+	errs := make(chan error, 2*n)
+	for i := 0; i < n; i++ {
+		j := jobs[i%len(jobs)]
+		go func() {
+			body, _ := json.Marshal(j.req)
+			resp, err := ts.Client().Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			var rr RunResponse
+			err = json.NewDecoder(resp.Body).Decode(&rr)
+			switch {
+			case err != nil || resp.StatusCode != http.StatusOK:
+				errs <- fmt.Errorf("%s %s: status %d, decode error %v", j.req.Model, j.req.Faults, resp.StatusCode, err)
+			case rr.TotalCycles != j.want.TotalCycles || rr.Degraded != j.want.Degraded() ||
+				!slices.Equal(rr.DeadCores, j.want.DeadCores) || rr.Corruptions != len(j.want.Final.Corruptions):
+				errs <- fmt.Errorf("%s %s: served %+v, want %.0f cycles, dead cores %v, %d corruptions",
+					j.req.Model, j.req.Faults, rr, j.want.TotalCycles, j.want.DeadCores, len(j.want.Final.Corruptions))
+			default:
+				errs <- nil
+			}
+		}()
+		go func() {
+			r, err := recovery.Run(j.res, recovery.Options{Opt: opt, Sim: j.cfg})
+			switch {
+			case err != nil:
+				errs <- err
+			case r.TotalCycles != j.want.TotalCycles || !reflect.DeepEqual(r.Final, j.want.Final) ||
+				!slices.Equal(r.DeadCores, j.want.DeadCores):
+				errs <- fmt.Errorf("direct recovery %s %s: %.0f cycles, dead cores %v; want %.0f, %v",
+					j.req.Model, j.req.Faults, r.TotalCycles, r.DeadCores, j.want.TotalCycles, j.want.DeadCores)
+			default:
+				errs <- nil
+			}
+		}()
+	}
+	for i := 0; i < 2*n; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	hits1, misses1 := recovery.RemapMemoStats()
+	if misses1 != misses0 || hits1 == hits0 {
+		t.Errorf("warm remap memo: %d hits, %d misses; want hits and no misses", hits1-hits0, misses1-misses0)
+	}
+}
+
+// The remap memo shows on /stats: a degraded /run misses it once, and
+// the same request again hits it.
+func TestRunStatsCountRemapMemo(t *testing.T) {
+	core.ResetCache() // a fresh generation: the memo holds nothing for it
+	defer core.ResetCache()
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	stats := func() Stats {
+		resp, err := ts.Client().Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st Stats
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	req := RunRequest{Model: "TinyCNN", Faults: "kill=1@15000", Recover: true}
+	var st []Stats
+	for range 2 {
+		st = append(st, stats())
+		if code, rr, er := postRun(t, ts, req); code != http.StatusOK || !rr.Degraded {
+			t.Fatalf("status %d (%+v): the kill did not degrade the run", code, er)
+		}
+	}
+	st = append(st, stats())
+	for i, want := range [][2]int64{{0, 1}, {1, 0}} {
+		hits := st[i+1].RemapMemoHits - st[i].RemapMemoHits
+		misses := st[i+1].RemapMemoMisses - st[i].RemapMemoMisses
+		if hits != want[0] || misses != want[1] {
+			t.Errorf("post %d: %d remap memo hits, %d misses; want %d and %d", i+1, hits, misses, want[0], want[1])
 		}
 	}
 }

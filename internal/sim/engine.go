@@ -36,6 +36,14 @@ import (
 // edges: for each node, the dependencies whose buffers it actually
 // reads, so retiring it frees buffers without revisiting its Deps.
 //
+// Static and mutable halves. What setup builds is a layout, a pure
+// function of (architecture, placements) that the step loop only
+// reads, plus templates of the state a run mutates (nodes, SPM owner
+// bytes and reader counts, barriers, pending counts). RunConcurrent
+// builds the layout into the pooled machine and runs it once, mutating
+// the templates in place; Prepare builds a Layout once, and each of its
+// runs copies the templates into the machine and skips setup.
+//
 // Bus membership. Each core's load and store engines are two DMA
 // slots (2c and 2c+1). A transfer joins the bus set (or the direct set
 // for halo traffic on a dedicated interconnect) when its descriptor
@@ -143,29 +151,23 @@ type ebarrier struct {
 	finish   float64
 }
 
-// machine is the pooled per-run state of the event engine. Every slice
-// is sized by resize helpers that reuse capacity, so a warm machine
-// runs a simulation without allocating; only the Result (and its
-// PerCore/ProgramCycles slices, which are handed to the caller)
-// is fresh per run.
-type machine struct {
+// layout is the static half of a run, a pure function of the
+// architecture and the placements: the global node numbering, the
+// node templates (unit-speed compute cycles), the engine queues, the
+// dependents and the SPM read edges (all CSR), the stream joins, the
+// barrier templates and, when built, the per-placement layer
+// accounting. A run never writes it: the state a run mutates begins as
+// a copy of its start templates.
+type layout struct {
 	a          *arch.Arch
 	placements []Placement
-	cfg        Config
-	bus        BusHook // cfg.Hook's bus half, nil when it has none
-
-	fs      *faultState // nil when the plan injects nothing
-	fsStore faultState  // backing storage for fs, pooled
 
 	total  int
 	ncores int
 
-	nodes []enode
-
 	// Dependents in CSR form: the nodes unblocked by node n's
 	// completion are depEdges[depOff[n]:depOff[n+1]].
 	depOff   []int32
-	depCur   []int32
 	depEdges []int32
 
 	// SPM read edges in CSR form: the owners whose buffers node n
@@ -184,36 +186,88 @@ type machine struct {
 	baseFlat    []int32
 
 	// Engine queues in CSR form, flat index ei = core*numEngines +
-	// engine: queue is qBuf[qOff[ei]:qOff[ei+1]], next-to-issue cursor
-	// qPos[ei], active node busyN[ei] (-1 idle).
-	qOff  []int32
-	qPos  []int32
-	qBuf  []int32
-	busyN []int32
+	// engine: queue is qBuf[qOff[ei]:qOff[ei+1]].
+	qOff []int32
+	qBuf []int32
 
 	// Barriers flattened across placements: placement pi's barrier b is
 	// bars[barOff[pi]+b].
-	barOff   []int32
-	bars     []ebarrier
-	barNodes []int32
+	barOff []int32
 
 	owner      []int32 // global core -> last placement on it (-1 unassigned)
 	localIndex []int32 // global core -> placement-local index
 
-	// Streams: each placement's predecessor (see placementOwners), the
-	// (tail, head) join edges gating it, and scratch.
-	after, joins, ends []int32
+	// Streams: each placement's predecessor (see placementOwners).
+	after []int32
 
 	// Per-placement layer accounting for checkpoint recovery and the
 	// checksum pass (fault runs only), flattened: placement pi's layers
-	// occupy [layerOff[pi]:layerOff[pi+1]]. layerEnd is when each layer
-	// retired its last instruction (a LayerFinish row).
+	// occupy [layerOff[pi]:layerOff[pi+1]]. layers marks it built.
 	layerOff   []int32
-	layerDone  []int
 	layerTotal []int
 	layerStore []bool
-	layerEnd   []float64
-	pending    []int32 // per global core, instructions not yet finished
+	layers     bool
+
+	// start is the mutable half as every run starts it.
+	start state
+
+	// Build scratch: dependents' and queues' fill cursors, and the
+	// (tail, head) join edges gating each stream element.
+	depCur, qCur, joins, ends []int32
+}
+
+// state is the mutable half of a run that a layout templates.
+type state struct {
+	nodes      []enode
+	spmBuf     []int64 // SPM bytes each live buffer owner holds (0 = none or freed)
+	spmReaders []int32 // outstanding SPM reader counts
+	bars       []ebarrier
+	barNodes   []int32
+	pending    []int32 // per global core, instructions not yet finished (fault runs)
+}
+
+// copyFrom makes s a copy of t, reusing s's capacity.
+func (s *state) copyFrom(t *state) {
+	s.nodes = append(s.nodes[:0], t.nodes...)
+	s.spmBuf = append(s.spmBuf[:0], t.spmBuf...)
+	s.spmReaders = append(s.spmReaders[:0], t.spmReaders...)
+	s.bars = append(s.bars[:0], t.bars...)
+	s.barNodes = append(s.barNodes[:0], t.barNodes...)
+	s.pending = append(s.pending[:0], t.pending...)
+}
+
+// machine is the pooled per-run state of the event engine. Every slice
+// is sized by resize helpers that reuse capacity, so a warm machine
+// runs a simulation without allocating; only the Result (and its
+// PerCore/ProgramCycles slices, which are handed to the caller)
+// is fresh per run.
+type machine struct {
+	// The run's static half, copied (slice headers only) from own,
+	// which RunConcurrent builds, or from a Layout that its runs share.
+	// The step loop reads it through this copy, never writes it.
+	layout
+	own layout
+
+	// The run's mutable half. A run of own mutates own.start in place
+	// (own is rebuilt before its next run); a run of a shared Layout
+	// copies its start here.
+	state
+
+	cfg Config
+	bus BusHook // cfg.Hook's bus half, nil when it has none
+
+	fs      *faultState // nil when the plan injects nothing
+	fsStore faultState  // backing storage for fs, pooled
+
+	// Engine issue cursors (next-to-issue queue position) and active
+	// nodes (-1 idle), by flat engine index.
+	qPos  []int32
+	busyN []int32
+
+	// Layer progress of a fault run: instructions retired per layer,
+	// and when each layer retired its last one (a LayerFinish row).
+	layerDone []int
+	layerEnd  []float64
 
 	stats Stats
 
@@ -240,13 +294,11 @@ type machine struct {
 	busSolved []bool
 	busFill   []busFill
 
-	// SPM admission check (spmcheck.go): bytes each live buffer owner
-	// still holds (0 = none or freed), outstanding reader counts, and
-	// per-core live totals. spmGrew marks a step that allocated.
-	spmBuf     []int64
-	spmReaders []int32
-	spmLive    []int64
-	spmGrew    bool
+	// SPM admission check (spmcheck.go): per-core live totals (the
+	// owners' bytes and reader counts are in state). spmGrew marks a
+	// step that allocated.
+	spmLive []int64
+	spmGrew bool
 
 	heap eventHeap
 
@@ -279,7 +331,40 @@ var machinePool = sync.Pool{New: func() any { return new(machine) }}
 // each one's completion cycle.
 func RunConcurrent(a *arch.Arch, placements []Placement, cfg Config) (*Result, error) {
 	m := machinePool.Get().(*machine)
-	res, err := m.run(a, placements, cfg)
+	var res *Result
+	err := m.own.build(a, placements)
+	if err == nil {
+		res, err = m.run(&m.own, cfg)
+	}
+	m.release()
+	machinePool.Put(m)
+	return res, err
+}
+
+// Layout is a prepared simulation of placements on an architecture:
+// the static half of an event-engine run, built once by Prepare and run
+// any number of times under different configurations. Run never writes
+// it, so goroutines may share one. A prepared run is bit-identical to
+// RunConcurrent over the same placements and skips its setup passes.
+type Layout struct{ l layout }
+
+// Prepare builds the layout of placements on a (see RunConcurrent).
+// Neither the placements nor their programs may change while the
+// Layout is in use.
+func Prepare(a *arch.Arch, placements []Placement) (*Layout, error) {
+	p := &Layout{}
+	if err := p.l.build(a, slices.Clone(placements)); err != nil {
+		return nil, err
+	}
+	p.l.buildLayers()
+	p.l.depCur, p.l.qCur, p.l.joins, p.l.ends = nil, nil, nil, nil
+	return p, nil
+}
+
+// Run simulates the prepared placements under cfg.
+func (p *Layout) Run(cfg Config) (*Result, error) {
+	m := machinePool.Get().(*machine)
+	res, err := m.run(&p.l, cfg)
 	m.release()
 	machinePool.Put(m)
 	return res, err
@@ -288,8 +373,9 @@ func RunConcurrent(a *arch.Arch, placements []Placement, cfg Config) (*Result, e
 // release drops references to caller-owned data so the pooled machine
 // retains only its reusable scratch capacity.
 func (m *machine) release() {
-	m.a = nil
-	m.placements = nil
+	m.layout = layout{}
+	m.own.a = nil
+	m.own.placements = nil
 	m.cfg = Config{}
 	m.bus = nil
 	m.fs = nil
@@ -310,61 +396,57 @@ func (m *machine) instr(nid int) *plan.Instr {
 	return &m.placements[m.progOf[nid]].Program.Cores[lc][m.indexOf[nid]]
 }
 
-func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result, error) {
-	m.a, m.placements, m.cfg = a, placements, cfg
-	m.bus, _ = cfg.Hook.(BusHook)
+// build lays out placements on a in l's buffers, reusing their
+// capacity, without the layer accounting (buildLayers). Two fused
+// passes over the program build the node templates, unit-speed compute
+// cycles, SPM owner bytes, the engine queues and the dependent lists,
+// and the SPM read edges: for each node, the dependencies whose buffers
+// it actually reads, so retiring it frees buffers without revisiting
+// its Deps.
+func (l *layout) build(a *arch.Arch, placements []Placement) error {
+	l.a, l.placements = a, placements
 	ncores := a.NumCores()
-	m.ncores = ncores
+	l.ncores = ncores
+	l.layers = false
 
-	m.owner = resizeFill(m.owner, ncores, -1)
+	l.owner = resizeFill(l.owner, ncores, -1)
 	var err error
-	if m.after, err = placementOwners(placements, m.owner, m.after); err != nil {
-		return nil, err
-	}
-
-	m.fs = nil
-	active, err := m.fsStore.init(cfg.Faults, m.owner)
-	if err != nil {
-		return nil, err
-	}
-	if active {
-		m.fs = &m.fsStore
+	if l.after, err = placementOwners(placements, l.owner, l.after); err != nil {
+		return err
 	}
 
 	// Global node numbering across placements and their cores.
-	m.streamStart = m.streamStart[:0]
-	m.baseFlat = m.baseFlat[:0]
+	l.streamStart = l.streamStart[:0]
+	l.baseFlat = l.baseFlat[:0]
 	total := 0
 	for _, pl := range placements {
-		m.streamStart = append(m.streamStart, int32(len(m.baseFlat)))
+		l.streamStart = append(l.streamStart, int32(len(l.baseFlat)))
 		for lc := range pl.Program.Cores {
-			m.baseFlat = append(m.baseFlat, int32(total))
+			l.baseFlat = append(l.baseFlat, int32(total))
 			total += len(pl.Program.Cores[lc])
 		}
 	}
-	m.total = total
+	l.total = total
 
-	m.nodes = resize(m.nodes, total)
-	m.coreOf = resize(m.coreOf, total)
-	m.progOf = resize(m.progOf, total)
-	m.indexOf = resize(m.indexOf, total)
-	m.rates = resize(m.rates, total)
-	m.spmBuf = resize(m.spmBuf, total)
-	m.spmReaders = resize(m.spmReaders, total)
-	m.spmLive = resize(m.spmLive, ncores)
+	s := &l.start
+	s.nodes = resize(s.nodes, total)
+	l.coreOf = resize(l.coreOf, total)
+	l.progOf = resize(l.progOf, total)
+	l.indexOf = resize(l.indexOf, total)
+	s.spmBuf = resize(s.spmBuf, total)
+	s.spmReaders = resize(s.spmReaders, total)
 
 	ne := ncores * numEngines
-	m.qOff = resize(m.qOff, ne+1)
-	m.qPos = resize(m.qPos, ne)
-	m.busyN = resizeFill(m.busyN, ne, -1)
-	m.depOff = resize(m.depOff, total+1)
-	m.depCur = resize(m.depCur, total)
-	m.readOff = resize(m.readOff, total+1)
+	l.qOff = resize(l.qOff, ne+1)
+	l.qCur = resize(l.qCur, ne)
+	l.depOff = resize(l.depOff, total+1)
+	l.depCur = resize(l.depCur, total)
+	l.readOff = resize(l.readOff, total+1)
 
-	m.localIndex = resizeFill(m.localIndex, ncores, -1)
+	l.localIndex = resizeFill(l.localIndex, ncores, -1)
 	for _, pl := range placements {
 		for lc, c := range pl.Cores {
-			m.localIndex[c] = int32(lc)
+			l.localIndex[c] = int32(lc)
 		}
 	}
 
@@ -372,7 +454,7 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 	// bytes, and counts for the queue and dependent CSRs.
 	model := cost.Model{Arch: a}
 	for pi, pl := range placements {
-		base := m.baseFlat[m.streamStart[pi]:]
+		base := l.baseFlat[l.streamStart[pi]:]
 		g := pl.Program.Graph
 		for lc, stream := range pl.Program.Cores {
 			gcore := pl.Cores[lc]
@@ -392,106 +474,143 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 				case plan.EngineLoad, plan.EngineStore:
 					nd.size = in.Bytes
 				}
-				m.nodes[n] = nd
-				m.coreOf[n] = int32(gcore)
-				m.progOf[n] = int32(pi)
-				m.indexOf[n] = int32(i)
-				m.spmBuf[n] = spmOwnedBytes(in)
-				m.qOff[gcore*numEngines+int(eng)+1]++
+				s.nodes[n] = nd
+				l.coreOf[n] = int32(gcore)
+				l.progOf[n] = int32(pi)
+				l.indexOf[n] = int32(i)
+				s.spmBuf[n] = spmOwnedBytes(in)
+				l.qOff[gcore*numEngines+int(eng)+1]++
 				for _, d := range in.Deps {
-					m.depOff[int(base[d.Core])+d.Index+1]++
+					l.depOff[int(base[d.Core])+d.Index+1]++
 				}
 			}
 		}
 	}
-	m.linkStreams()
+	l.linkStreams()
 	for ei := 0; ei < ne; ei++ {
-		m.qOff[ei+1] += m.qOff[ei]
+		l.qOff[ei+1] += l.qOff[ei]
 	}
 	for n := 0; n < total; n++ {
-		m.depOff[n+1] += m.depOff[n]
+		l.depOff[n+1] += l.depOff[n]
 	}
-	m.qBuf = resize(m.qBuf, total)
-	m.depEdges = resize(m.depEdges, int(m.depOff[total]))
-	copy(m.qPos, m.qOff[:ne])
-	copy(m.depCur, m.depOff[:total])
+	l.qBuf = resize(l.qBuf, total)
+	l.depEdges = resize(l.depEdges, int(l.depOff[total]))
+	copy(l.qCur, l.qOff[:ne])
+	copy(l.depCur, l.depOff[:total])
 
 	// Pass 2: fill both CSRs in the reference's append order, and the
 	// SPM read edges with each owner's reader count.
-	m.reads = m.reads[:0]
+	l.reads = l.reads[:0]
 	for pi, pl := range placements {
-		base := m.baseFlat[m.streamStart[pi]:]
+		base := l.baseFlat[l.streamStart[pi]:]
 		for lc, stream := range pl.Program.Cores {
 			gcore := pl.Cores[lc]
 			b := int(base[lc])
 			for i := range stream {
 				in := &stream[i]
 				n := b + i
-				ei := gcore*numEngines + int(m.nodes[n].eng)
-				m.qBuf[m.qPos[ei]] = int32(n)
-				m.qPos[ei]++
-				m.readOff[n] = int32(len(m.reads))
+				ei := gcore*numEngines + int(s.nodes[n].eng)
+				l.qBuf[l.qCur[ei]] = int32(n)
+				l.qCur[ei]++
+				l.readOff[n] = int32(len(l.reads))
 				for _, d := range in.Deps {
 					dn := int(base[d.Core]) + d.Index
-					m.depEdges[m.depCur[dn]] = int32(n)
-					m.depCur[dn]++
-					if m.spmBuf[dn] > 0 && spmReads(plan.OpCode(m.nodes[dn].op), in.Op) {
-						m.spmReaders[dn]++
-						m.reads = append(m.reads, int32(dn))
+					l.depEdges[l.depCur[dn]] = int32(n)
+					l.depCur[dn]++
+					if s.spmBuf[dn] > 0 && spmReads(plan.OpCode(s.nodes[dn].op), in.Op) {
+						s.spmReaders[dn]++
+						l.reads = append(l.reads, int32(dn))
 					}
 				}
 			}
 		}
 	}
-	m.readOff[total] = int32(len(m.reads))
-	for i := 0; i < len(m.joins); i += 2 {
-		t := m.joins[i]
-		m.depEdges[m.depCur[t]] = m.joins[i+1]
-		m.depCur[t]++
+	l.readOff[total] = int32(len(l.reads))
+	for i := 0; i < len(l.joins); i += 2 {
+		t := l.joins[i]
+		l.depEdges[l.depCur[t]] = l.joins[i+1]
+		l.depCur[t]++
 	}
-	copy(m.qPos, m.qOff[:ne]) // rewind issue cursors
 
 	// Barriers, flattened.
-	m.barOff = m.barOff[:0]
-	m.bars = m.bars[:0]
-	m.barNodes = m.barNodes[:0]
+	l.barOff = l.barOff[:0]
+	s.bars = s.bars[:0]
+	s.barNodes = s.barNodes[:0]
 	for _, pl := range placements {
-		m.barOff = append(m.barOff, int32(len(m.bars)))
+		l.barOff = append(l.barOff, int32(len(s.bars)))
 		for i := 0; i < pl.Program.NumBarriers; i++ {
-			m.bars = append(m.bars, ebarrier{arrStart: int32(len(m.barNodes)), nlocal: int32(len(pl.Cores))})
+			s.bars = append(s.bars, ebarrier{arrStart: int32(len(s.barNodes)), nlocal: int32(len(pl.Cores))})
 			for range pl.Cores {
-				m.barNodes = append(m.barNodes, -1)
+				s.barNodes = append(s.barNodes, -1)
 			}
 		}
 	}
-	m.barOff = append(m.barOff, int32(len(m.bars)))
-	totalBarriers := len(m.bars)
+	l.barOff = append(l.barOff, int32(len(s.bars)))
+	return nil
+}
 
-	// Per-placement layer accounting for checkpoint recovery.
-	if m.fs != nil {
-		m.layerOff = m.layerOff[:0]
-		nl := 0
-		for _, pl := range placements {
-			m.layerOff = append(m.layerOff, int32(nl))
-			nl += pl.Program.Graph.Len()
+// buildLayers adds the per-placement layer accounting for checkpoint
+// recovery to a built layout.
+func (l *layout) buildLayers() {
+	l.layerOff = l.layerOff[:0]
+	nl := 0
+	for _, pl := range l.placements {
+		l.layerOff = append(l.layerOff, int32(nl))
+		nl += pl.Program.Graph.Len()
+	}
+	l.layerOff = append(l.layerOff, int32(nl))
+	l.layerTotal = resize(l.layerTotal, nl)
+	l.layerStore = resize(l.layerStore, nl)
+	l.start.pending = resize(l.start.pending, l.ncores)
+	for nid := 0; nid < l.total; nid++ {
+		li := int(l.layerOff[l.progOf[nid]]) + int(l.start.nodes[nid].layer)
+		l.layerTotal[li]++
+		// Only plan.Store reaches global memory; halo stores land
+		// in a peer's SPM and die with it.
+		if plan.OpCode(l.start.nodes[nid].op) == plan.Store {
+			l.layerStore[li] = true
 		}
-		m.layerOff = append(m.layerOff, int32(nl))
-		m.layerDone = resize(m.layerDone, nl)
-		m.layerTotal = resize(m.layerTotal, nl)
-		m.layerStore = resize(m.layerStore, nl)
-		m.layerEnd = resize(m.layerEnd, nl)
-		m.pending = resize(m.pending, ncores)
-		for nid := 0; nid < total; nid++ {
-			l := int(m.layerOff[m.progOf[nid]]) + int(m.nodes[nid].layer)
-			m.layerTotal[l]++
-			// Only plan.Store reaches global memory; halo stores land
-			// in a peer's SPM and die with it.
-			if plan.OpCode(m.nodes[nid].op) == plan.Store {
-				m.layerStore[l] = true
-			}
-			m.pending[m.coreOf[nid]]++
+		l.start.pending[l.coreOf[nid]]++
+	}
+	l.layers = true
+}
+
+// run simulates layout l under cfg.
+func (m *machine) run(l *layout, cfg Config) (*Result, error) {
+	m.cfg = cfg
+	m.bus, _ = cfg.Hook.(BusHook)
+
+	m.fs = nil
+	active, err := m.fsStore.init(cfg.Faults, l.owner)
+	if err != nil {
+		return nil, err
+	}
+	if active {
+		m.fs = &m.fsStore
+		if !l.layers {
+			l.buildLayers() // l is m.own: a shared Layout has them
 		}
 	}
+	m.layout = *l
+	if l == &m.own {
+		m.state = l.start
+	} else {
+		m.state.copyFrom(&l.start)
+	}
+
+	ncores, total := l.ncores, l.total
+	ne := ncores * numEngines
+	m.qPos = resize(m.qPos, ne)
+	copy(m.qPos, l.qOff[:ne])
+	m.busyN = resizeFill(m.busyN, ne, -1)
+	m.rates = resize(m.rates, total)
+	m.spmLive = resize(m.spmLive, ncores)
+	if m.fs != nil {
+		nl := int(l.layerOff[len(l.placements)])
+		m.layerDone = resize(m.layerDone, nl)
+		m.layerEnd = resize(m.layerEnd, nl)
+	}
+	totalBarriers := len(m.bars)
 
 	// Watchdog heartbeat: armed only when the plan hangs an occupied
 	// core, the one fault that can stall one, so a run with no such
@@ -506,7 +625,7 @@ func (m *machine) run(a *arch.Arch, placements []Placement, cfg Config) (*Result
 	m.stats = Stats{
 		PerCore:       make([]CoreStats, ncores),
 		Barriers:      totalBarriers,
-		ProgramCycles: make([]float64, len(placements)),
+		ProgramCycles: make([]float64, len(l.placements)),
 	}
 
 	for cap(m.busyIv) < ncores {
@@ -1158,20 +1277,20 @@ func (m *machine) inFlight(pi int) int {
 // its predecessor's last node on each: an engine retires its queue in
 // order, so once those tails retire, the predecessor has retired
 // everything.
-func (m *machine) linkStreams() {
-	m.joins = m.joins[:0]
-	for pi, q := range m.after {
+func (l *layout) linkStreams() {
+	l.joins = l.joins[:0]
+	for pi, q := range l.after {
 		if q < 0 {
 			continue
 		}
-		m.ends = m.streamEnds(m.ends[:0], int(q), true)
-		nt := len(m.ends)
-		m.ends = m.streamEnds(m.ends, pi, false)
-		for _, t := range m.ends[:nt] {
-			for _, h := range m.ends[nt:] {
-				m.joins = append(m.joins, t, h)
-				m.depOff[t+1]++
-				m.nodes[h].deps++
+		l.ends = l.streamEnds(l.ends[:0], int(q), true)
+		nt := len(l.ends)
+		l.ends = l.streamEnds(l.ends, pi, false)
+		for _, t := range l.ends[:nt] {
+			for _, h := range l.ends[nt:] {
+				l.joins = append(l.joins, t, h)
+				l.depOff[t+1]++
+				l.start.nodes[h].deps++
 			}
 		}
 	}
@@ -1179,9 +1298,9 @@ func (m *machine) linkStreams() {
 
 // streamEnds appends placement pi's first node (last, with last set) on
 // each engine of each of its cores.
-func (m *machine) streamEnds(out []int32, pi int, last bool) []int32 {
-	for lc, stream := range m.placements[pi].Program.Cores {
-		b := m.baseFlat[int(m.streamStart[pi])+lc]
+func (l *layout) streamEnds(out []int32, pi int, last bool) []int32 {
+	for lc, stream := range l.placements[pi].Program.Cores {
+		b := l.baseFlat[int(l.streamStart[pi])+lc]
 		var seen [numEngines]bool
 		for i := range stream {
 			if last {

@@ -22,7 +22,10 @@ import (
 // plan's events are spread over twice the clean latency). The event
 // engine must return a Result DeepEqual to the reference engine's,
 // corruptions included, or the same typed error, and feed its hook the
-// same events (the prefix before a failure included).
+// same events (the prefix before a failure included). Each case also
+// runs twice through one prepared Layout, under its plan and under
+// another plan of the matrix with the watchdog toggled, and must match
+// a fresh run each time.
 
 var genConfigs = []core.Options{core.Base(), core.Halo(), core.Stratum()}
 
@@ -84,15 +87,59 @@ func genConfig(name string, faultSeed uint64, T float64) Config {
 	return cfg
 }
 
+// altConfig is the second configuration a case's prepared layout runs
+// under: the next plan of the matrix, with a fresh fault seed and the
+// watchdog toggled (the hang plan without one deadlocks).
+func altConfig(planIdx int, faultSeed uint64, T float64) Config {
+	cfg := genConfig(genPlans[(planIdx+1)%len(genPlans)], faultSeed+1, T)
+	if cfg.WatchdogCycles > 0 {
+		cfg.WatchdogCycles = 0
+	} else {
+		cfg.WatchdogCycles = T / 37
+	}
+	return cfg
+}
+
 // runGenerated runs both engines on prog over all its cores, n times
-// back to back as a stream, and requires identical outcomes.
-func runGenerated(t *testing.T, prog *plan.Program, n int, cfg Config) (*Result, []Event, error) {
+// back to back as a stream, and requires identical outcomes. It then
+// runs the stream twice through one prepared Layout, under cfg with a
+// hook and under alt without one (checkPrepared).
+func runGenerated(t *testing.T, prog *plan.Program, n int, cfg, alt Config) (*Result, []Event, error) {
 	t.Helper()
 	var stream []Placement
 	for range n {
 		stream = append(stream, Whole(prog)...)
 	}
-	return runBoth(t, prog.Arch, stream, cfg)
+	res, trace, err := runBoth(t, prog.Arch, stream, cfg)
+	checkPrepared(t, prog.Arch, stream, cfg, alt)
+	return res, trace, err
+}
+
+// checkPrepared runs placements through one prepared Layout under each
+// config in turn, the even ones with a Recorder, and requires every
+// outcome and trace DeepEqual to a fresh RunConcurrent's.
+func checkPrepared(t *testing.T, a *arch.Arch, placements []Placement, cfgs ...Config) {
+	t.Helper()
+	lay, err := Prepare(a, placements)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	for i, cfg := range cfgs {
+		fresh, prepared := cfg, cfg
+		freshRec, preparedRec := &Recorder{}, &Recorder{}
+		if i%2 == 0 {
+			fresh.Hook, prepared.Hook = freshRec, preparedRec
+		}
+		want, wantErr := RunConcurrent(a, placements, fresh)
+		got, gotErr := lay.Run(prepared)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
+			t.Fatalf("config %d: prepared run %+v (err %v), fresh run %+v (err %v)", i, got, gotErr, want, wantErr)
+		}
+		if !reflect.DeepEqual(preparedRec.Events, freshRec.Events) {
+			t.Fatalf("config %d: prepared run traced %d events, fresh run %d, or they differ",
+				i, len(preparedRec.Events), len(freshRec.Events))
+		}
+	}
 }
 
 func TestGeneratedEngineEquivalence(t *testing.T) {
@@ -109,14 +156,15 @@ func TestGeneratedEngineEquivalence(t *testing.T) {
 		for _, a := range genArchs() {
 			for _, opt := range genConfigs {
 				prog, T := genProgram(t, seed, a, opt)
-				for _, name := range genPlans {
+				for k, name := range genPlans {
 					for n := 1; n <= 2; n++ {
 						sub := fmt.Sprintf("seed%d/%s/%s/%s", seed, a.Name, opt.Name(), name)
 						if n == 2 {
 							sub += "/stream"
 						}
 						t.Run(sub, func(t *testing.T) {
-							res, trace, err := runGenerated(t, prog, n, genConfig(name, uint64(seed)+1, float64(n)*T))
+							nT := float64(n) * T
+							res, trace, err := runGenerated(t, prog, n, genConfig(name, uint64(seed)+1, nT), altConfig(k, uint64(seed)+1, nT))
 							l, ok := LossOf(err)
 							if ok && l.Failure != nil {
 								seen["core failure"] = true
@@ -286,7 +334,8 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		opt := genConfigs[int(cfgIdx)%len(genConfigs)]
 		prog, T := genProgram(t, seed, a, opt)
 		n := 1 + int(planIdx)/len(genPlans)%2
-		runGenerated(t, prog, n, genConfig(genPlans[int(planIdx)%len(genPlans)], faultSeed, float64(n)*T))
+		k := int(planIdx) % len(genPlans)
+		runGenerated(t, prog, n, genConfig(genPlans[k], faultSeed, float64(n)*T), altConfig(k, faultSeed, float64(n)*T))
 	})
 }
 

@@ -60,7 +60,10 @@ func TestRunZeroesRatesAfterRetry(t *testing.T) {
 	}
 
 	var m machine
-	if _, err := m.run(sub, []Placement{{Program: prog, Cores: []int{0, 1}}}, Config{Hook: &Recorder{}, Faults: fp}); err != nil {
+	if err := m.own.build(sub, []Placement{{Program: prog, Cores: []int{0, 1}}}); err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	if _, err := m.run(&m.own, Config{Hook: &Recorder{}, Faults: fp}); err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
 	for nid, r := range m.rates {

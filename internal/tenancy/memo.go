@@ -3,10 +3,9 @@ package tenancy
 import (
 	"encoding/binary"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
+	"repro/internal/bounded"
 	"repro/internal/core"
 )
 
@@ -17,79 +16,22 @@ import (
 // a full memo holds under 45 MB, under 7 MB of 20 ms epochs.
 const memoEntries = 256
 
-// coRunMemo maps a clean co-run's structural key to what booking reads
-// of it, one streamRun per tenant (shared by every hit: read-only),
+// memo maps a clean co-run's structural key to what booking reads of
+// it, one streamRun per tenant (shared by every hit: read-only),
 // process-wide. A clean co-run cut at the epoch's end is a pure
 // function of the platform, the epoch, and each stream's programs and
-// global cores, and every tenancy
-// program comes from the compile cache, whose CacheKey names it. The
-// memo holds at most limit entries and evicts the oldest first; limit
-// 0 stores nothing.
-type coRunMemo struct {
-	limit int
-
-	mu   sync.Mutex
-	runs map[string][]streamRun
-	fifo []string // keys in insertion order, a ring once full; the oldest is at next
-	next int
-
-	hits, misses atomic.Int64
-}
-
-var memo = newCoRunMemo(memoEntries)
-
-func newCoRunMemo(limit int) *coRunMemo {
-	return &coRunMemo{limit: limit, runs: make(map[string][]streamRun)}
-}
-
-func (m *coRunMemo) get(key string) ([]streamRun, bool) {
-	m.mu.Lock()
-	r, ok := m.runs[key]
-	m.mu.Unlock()
-	if ok {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
-	return r, ok
-}
-
-func (m *coRunMemo) put(key string, r []streamRun) {
-	if m.limit <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.runs[key]; ok {
-		return // a concurrent miss stored the identical run first
-	}
-	if len(m.fifo) < m.limit {
-		m.fifo = append(m.fifo, key)
-	} else {
-		delete(m.runs, m.fifo[m.next])
-		m.fifo[m.next] = key
-		m.next = (m.next + 1) % m.limit
-	}
-	m.runs[key] = r
-}
+// global cores, and every tenancy program comes from the compile cache,
+// whose CacheKey names it.
+var memo = bounded.New[string, []streamRun](memoEntries)
 
 // MemoStats reports cumulative co-run memo hits and misses. Co-runs
 // that bypass the memo (a fault plan, a program compiled outside the
 // cache, a context already done) count as neither.
-func MemoStats() (hits, misses int64) {
-	return memo.hits.Load(), memo.misses.Load()
-}
+func MemoStats() (hits, misses int64) { return memo.Stats() }
 
 // ResetMemo drops every memoized co-run and zeroes the counters
 // (benchmarks use it to measure first-seen schedules).
-func ResetMemo() {
-	memo.mu.Lock()
-	clear(memo.runs)
-	memo.fifo, memo.next = memo.fifo[:0], 0
-	memo.mu.Unlock()
-	memo.hits.Store(0)
-	memo.misses.Store(0)
-}
+func ResetMemo() { memo.Reset() }
 
 // coRunKey is the memo key of the admitted tenants' streams co-run for
 // an epoch of D cycles: the arch hash core.Fingerprint uses, D, then

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bounded"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/keytest"
@@ -67,7 +68,7 @@ func runScenario(i int, simCfg sim.Config) ([]byte, error) {
 func useMemo(t *testing.T, limit int) {
 	t.Helper()
 	prev := memo
-	memo = newCoRunMemo(limit)
+	memo = bounded.New[string, []streamRun](limit)
 	t.Cleanup(func() { memo = prev })
 }
 
@@ -123,8 +124,8 @@ func TestMemoBypassedUnderFaults(t *testing.T) {
 			t.Fatal("no co-runs")
 		}
 	}
-	if h, m := MemoStats(); h != 0 || m != 0 || len(memo.runs) != 0 {
-		t.Errorf("faulted runs touched the memo: %d hits, %d misses, %d entries", h, m, len(memo.runs))
+	if h, m := MemoStats(); h != 0 || m != 0 || memo.Len() != 0 {
+		t.Errorf("faulted runs touched the memo: %d hits, %d misses, %d entries", h, m, memo.Len())
 	}
 }
 
@@ -264,22 +265,25 @@ func TestMemoBypassCoversSimConfig(t *testing.T) {
 // evicts the oldest, and a key stored twice (two concurrent misses)
 // takes one slot.
 func TestMemoBounded(t *testing.T) {
-	m := newCoRunMemo(2)
+	m := bounded.New[string, []streamRun](2)
 	r := []streamRun{{}}
 	for _, k := range []string{"a", "b", "b", "c", "d"} {
-		m.put(k, r)
+		m.Put(k, r)
 	}
 	for k, want := range map[string]bool{"a": false, "b": false, "c": true, "d": true} {
-		if _, ok := m.get(k); ok != want {
+		if _, ok := m.Get(k); ok != want {
 			t.Errorf("key %q held = %v, want %v", k, ok, want)
 		}
 	}
-	if len(m.runs) != 2 || len(m.fifo) != 2 {
-		t.Errorf("memo holds %d runs, %d keys; bound 2", len(m.runs), len(m.fifo))
+	if m.Len() != 2 {
+		t.Errorf("memo holds %d runs; bound 2", m.Len())
 	}
-	none := newCoRunMemo(0)
-	none.put("a", r)
-	if len(none.runs) != 0 {
+	if h, miss := m.Stats(); h != 2 || miss != 2 {
+		t.Errorf("memo counted %d hits, %d misses; want 2 and 2", h, miss)
+	}
+	none := bounded.New[string, []streamRun](0)
+	none.Put("a", r)
+	if none.Len() != 0 {
 		t.Error("a zero-bound memo stored a run")
 	}
 }

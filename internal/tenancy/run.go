@@ -162,7 +162,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			key, memoize = coRunKey(a, admitted, D)
 		}
 		if memoize {
-			if r, ok := memo.get(key); ok {
+			if r, ok := memo.Get(key); ok {
 				coSims++
 				return r, D, nil
 			}
@@ -207,7 +207,7 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 			p += counts[i]
 		}
 		if memoize {
-			memo.put(key, runs)
+			memo.Put(key, runs)
 		}
 		return runs, cut, err
 	}
