@@ -332,9 +332,10 @@ var tenantShapes = []string{
 
 // BenchmarkTenancyRun measures tenancy.Run over the four shapes, one
 // op running all four, on a warm compile cache. "cold-memo" empties the
-// co-run memo before every op, so each shape simulates its co-runs as a
-// first-seen schedule does; "warm-memo" serves them from the memo, as a
-// repeated scenario is.
+// co-run memo and the remap memo before every op, so each shape
+// simulates its co-runs and rebuilds its resumed suffixes as a
+// first-seen schedule does; "warm-memo" serves them from the memos, as
+// a repeated scenario is.
 func BenchmarkTenancyRun(b *testing.B) {
 	a := arch.Exynos2100Like()
 	var specs [][]tenancy.Tenant
@@ -359,6 +360,7 @@ func BenchmarkTenancyRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if mode == "cold-memo" {
 					tenancy.ResetMemo()
+					recovery.ResetRemapMemo()
 				}
 				runAll(b)
 			}
@@ -397,6 +399,42 @@ func BenchmarkRecoverKill(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRemap measures recovery.Remap of each model with its first
+// half of layers done (IDs are topological, so the lower half is a
+// prefix) onto cores 0 and 2, on a warm compile cache. "miss" empties
+// the remap memo before every op, so each op keys, rebuilds and
+// fingerprints the suffix as a first-seen point does; "hit" serves the
+// repeat from the memo.
+func BenchmarkRemap(b *testing.B) {
+	a := arch.Exynos2100Like()
+	for _, name := range []string{"InceptionV3", "MobileNetV2"} {
+		g := models.ByNameMust(name)
+		done := make([]graph.LayerID, g.Len()/2)
+		for i := range done {
+			done[i] = graph.LayerID(i)
+		}
+		var ckpt recovery.Checkpoint
+		ckpt.Fold(g, done, nil)
+		remap := func(b *testing.B) {
+			if _, err := recovery.Remap(nil, g, &ckpt, a, []int{0, 2}, core.Stratum()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		remap(b) // fill the compile cache
+		for _, mode := range []string{"miss", "hit"} {
+			b.Run(name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if mode == "miss" {
+						recovery.ResetRemapMemo()
+					}
+					remap(b)
+				}
+			})
+		}
 	}
 }
 

@@ -30,10 +30,19 @@ func New[K comparable, V any](limit int) *Memo[K, V] {
 }
 
 // Get returns the value stored under k and counts a hit or a miss.
-func (m *Memo[K, V]) Get(k K) (V, bool) {
+func (m *Memo[K, V]) Get(k K) (V, bool) { return m.GetIf(k, nil) }
+
+// GetIf is Get for values that can go stale: a value held under k that
+// live (when non-nil) rejects is not returned and counts as a miss; the
+// next Put under k replaces it.
+func (m *Memo[K, V]) GetIf(k K, live func(V) bool) (V, bool) {
 	m.mu.Lock()
 	v, ok := m.vals[k]
 	m.mu.Unlock()
+	if ok && live != nil && !live(v) {
+		var zero V
+		v, ok = zero, false
+	}
 	if ok {
 		m.hits.Add(1)
 	} else {
@@ -43,8 +52,7 @@ func (m *Memo[K, V]) Get(k K) (V, bool) {
 }
 
 // Put stores v under k, evicting the oldest entry when the memo is
-// full. A key already held keeps its value: two concurrent misses
-// compute the same one, and the first store wins.
+// full. A key already held takes v in place and keeps its age.
 func (m *Memo[K, V]) Put(k K, v V) {
 	if m.limit <= 0 {
 		return
@@ -52,6 +60,7 @@ func (m *Memo[K, V]) Put(k K, v V) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.vals[k]; ok {
+		m.vals[k] = v
 		return
 	}
 	if len(m.fifo) < m.limit {

@@ -191,7 +191,6 @@ var (
 	compileCache sync.Map
 	cacheHits    atomic.Int64
 	cacheMisses  atomic.Int64
-	cacheGen     atomic.Uint64
 )
 
 // CompileCached is Compile with memoization keyed by Fingerprint. The
@@ -212,11 +211,9 @@ func CompileCached(g *graph.Graph, a *arch.Arch, opt Options) (*Result, error) {
 // the entry absent, so the next identical request compiles cleanly.
 func CompileCachedCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Options) (*Result, error) {
 	key := Fingerprint(g, a, opt)
-	if v, ok := compileCache.Load(key); ok {
+	if res := Lookup(key); res != nil {
 		cacheHits.Add(1)
-		res := *v.(*Result)
-		res.CacheHit = true
-		return &res, nil
+		return res, nil
 	}
 	cacheMisses.Add(1)
 	res, err := CompileCtx(ctx, g, a, opt)
@@ -229,14 +226,26 @@ func CompileCachedCtx(ctx context.Context, g *graph.Graph, a *arch.Arch, opt Opt
 	return &out, nil
 }
 
+// Lookup returns the compile cached under key as a CompileCached hit
+// returns it (a shallow copy with CacheHit set), or nil when the cache
+// holds none. It counts neither a hit nor a miss.
+func Lookup(key CacheKey) *Result {
+	v, ok := compileCache.Load(key)
+	if !ok {
+		return nil
+	}
+	res := *v.(*Result)
+	res.CacheHit = true
+	return &res
+}
+
 // CacheStats reports cumulative CompileCached hits and misses.
 func CacheStats() (hits, misses int64) {
 	return cacheHits.Load(), cacheMisses.Load()
 }
 
 // ResetCache drops every cached compilation and zeroes the counters
-// (benchmarks use it to measure cold compiles), then starts a new
-// CacheGeneration.
+// (benchmarks use it to measure cold compiles).
 func ResetCache() {
 	compileCache.Range(func(k, _ any) bool {
 		compileCache.Delete(k)
@@ -244,12 +253,4 @@ func ResetCache() {
 	})
 	cacheHits.Store(0)
 	cacheMisses.Store(0)
-	cacheGen.Add(1)
 }
-
-// CacheGeneration counts ResetCache calls. A memo of work derived from
-// cached compiles (the recovery remap memo) keys on it, so none of its
-// entries outlives the compile it holds: an entry read under a
-// generation was stored under the same one, after the reset that began
-// it had emptied the cache.
-func CacheGeneration() uint64 { return cacheGen.Load() }

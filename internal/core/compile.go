@@ -215,10 +215,10 @@ func (r *Result) Simulate(cfg sim.Config) (*sim.Result, error) {
 // Any other placement or plan, a Hook (a trace is a Recorder hook), a
 // Result without an admission run, and a cfg.Ctx that is already done
 // go to the engine, so a canceled context yields its own cancellation
-// error. A faulted engine run on the admitted whole machine (recovery's
-// first attempt) runs the program's prepared layout (sim.Prepare),
-// built once and shared like the admission run; every other engine run
-// builds its own, so a program simulated once keeps no layout.
+// error. An engine run on the admitted whole machine (recovery's first
+// attempt, for one) runs the program's prepared layout (sim.Prepare),
+// built once and shared like the admission run; an engine run on any
+// other placement builds its own.
 func (r *Result) SimulateOn(a *arch.Arch, cores []int, cfg sim.Config) (*sim.Result, error) {
 	pl := []sim.Placement{{Program: r.Program, Cores: cores}}
 	if cores == nil {
@@ -226,7 +226,7 @@ func (r *Result) SimulateOn(a *arch.Arch, cores []int, cfg sim.Config) (*sim.Res
 	}
 	on := r.admittedOn(a, cores)
 	if on == nil || cfg.Hook != nil || (cfg.Ctx != nil && cfg.Ctx.Err() != nil) || !cfg.Faults.KeepsTiming(on) {
-		if on != nil && !cfg.Faults.Empty() && len(pl[0].Cores) == a.NumCores() {
+		if on != nil && len(pl[0].Cores) == a.NumCores() {
 			if lay := r.clean.layout(r.Program); lay != nil {
 				return lay.Run(cfg)
 			}

@@ -262,8 +262,8 @@ type admission struct {
 	run *sim.Result
 
 	// lay is the program's prepared layout on its whole machine, built
-	// on the first faulted engine run there (see SimulateOn) and shared
-	// by every run after it.
+	// on the first engine run there (see SimulateOn) and shared by every
+	// run after it.
 	layOnce sync.Once
 	lay     *sim.Layout
 

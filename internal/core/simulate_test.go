@@ -371,34 +371,44 @@ func TestSimulateOnReusesAdmissionRun(t *testing.T) {
 	}
 }
 
-// TestFaultedSimulateRunsPreparedLayout: a faulted engine run on the
-// admitted whole machine goes through the program's prepared layout,
-// built once and shared by every copy of the Result, and matches a
-// fresh sim.Run bit for bit, typed failures and traces included; an
-// unfaulted traced run and a run on other cores build no layout.
+// TestFaultedSimulateRunsPreparedLayout: every engine run on the
+// admitted whole machine (traced, faulted or already canceled) goes
+// through the program's prepared layout, built once and shared by every
+// copy of the Result, and matches a fresh sim.Run bit for bit, typed
+// failures, cancellations and traces included; a run on other cores
+// builds no layout.
 func TestFaultedSimulateRunsPreparedLayout(t *testing.T) {
 	a := arch.Exynos2100Like()
 	names := []string{"MobileNetV2", "InceptionV3", "MobileNetV2-SSD", "MobileDet-SSD"}
 	if testing.Short() {
 		names = names[:1]
 	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, name := range names {
 		res, err := Compile(models.ByNameMust(name), a, Stratum())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := res.Simulate(sim.Config{Hook: &sim.Recorder{}}); err != nil || res.clean.lay != nil {
-			t.Fatalf("%s: an unfaulted traced run built a layout (err %v)", name, err)
+		wantRec, gotRec := &sim.Recorder{}, &sim.Recorder{}
+		want, wantErr := sim.Run(res.Program, sim.Config{Hook: wantRec})
+		got, gotErr := res.Simulate(sim.Config{Hook: gotRec})
+		if !reflect.DeepEqual(got, want) || gotErr != nil || wantErr != nil || !reflect.DeepEqual(gotRec.Events, wantRec.Events) {
+			t.Fatalf("%s: traced Simulate %+v (err %v), sim.Run %+v (err %v)", name, got, gotErr, want, wantErr)
+		}
+		lay := res.clean.lay
+		if lay == nil {
+			t.Fatalf("%s: a traced run on the admitted machine built no layout", name)
 		}
 		T := res.clean.run.Stats.TotalCycles
 		plans := map[string]sim.Config{
+			"canceled":  {Ctx: canceled},
 			"kill":      {Faults: &fault.Plan{Deaths: []fault.Death{{Core: 1, AtCycle: T / 2}}}},
 			"hang":      {Faults: &fault.Plan{Hangs: []fault.Hang{{Core: 2, AtCycle: T / 3}}}, WatchdogCycles: T / 20},
 			"drop":      {Faults: &fault.Plan{Seed: 3, DropRate: 0.05, MaxRetries: 12}},
 			"throttle":  {Faults: &fault.Plan{Throttles: []fault.Throttle{{Core: 0, AtCycle: T / 4, Factor: 0.5}}}},
 			"kill+flip": {Faults: &fault.Plan{Seed: 7, FlipRate: 0.05, Deaths: []fault.Death{{Core: 0, AtCycle: 0.7 * T}}}},
 		}
-		var lay *sim.Layout
 		for plan, cfg := range plans {
 			for _, traced := range []bool{false, true} {
 				wantCfg, gotCfg := cfg, cfg
@@ -414,10 +424,7 @@ func TestFaultedSimulateRunsPreparedLayout(t *testing.T) {
 					t.Fatalf("%s %s (traced %v): Simulate %+v (err %v, %d events), sim.Run %+v (err %v, %d events)",
 						name, plan, traced, got, gotErr, len(gotRec.Events), want, wantErr, len(wantRec.Events))
 				}
-				if lay == nil {
-					lay = res.clean.lay
-				}
-				if lay == nil || res.clean.lay != lay {
+				if res.clean.lay != lay {
 					t.Fatalf("%s %s: layout %p, first built %p", name, plan, res.clean.lay, lay)
 				}
 			}

@@ -50,18 +50,10 @@ type Graph struct {
 
 // New returns an empty graph whose layers default to element type dt.
 func New(name string, dt tensor.DType) *Graph {
-	return NewSized(name, dt, 0)
-}
-
-// NewSized is New for a graph that will hold about n layers: it
-// allocates their bookkeeping up front.
-func NewSized(name string, dt tensor.DType, n int) *Graph {
 	return &Graph{
 		Name:   name,
 		DType:  dt,
-		layers: make([]*Layer, 0, n),
-		byName: make(map[string]LayerID, n),
-		users:  make([][]LayerID, 0, n),
+		byName: make(map[string]LayerID),
 	}
 }
 

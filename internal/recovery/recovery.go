@@ -143,16 +143,8 @@ func StratumGraph(g *graph.Graph, layers []graph.LayerID) (*graph.Graph, map[gra
 // appear in the order the rebuilt layers first read them, so a
 // selection always yields the same graph and compile fingerprint.
 func induced(g *graph.Graph, name string, keep []bool) (*graph.Graph, map[graph.LayerID]graph.LayerID, error) {
-	// Size the graph for the kept layers; the few producers read from
-	// memory come on top.
-	n := 0
-	for _, k := range keep {
-		if k {
-			n++
-		}
-	}
-	sub := graph.NewSized(name, g.DType, n)
-	origin := make(map[graph.LayerID]graph.LayerID, n)
+	sub := graph.New(name, g.DType)
+	origin := make(map[graph.LayerID]graph.LayerID)
 	idMap := make([]graph.LayerID, g.Len()) // orig -> sub
 	for i := range idMap {
 		idMap[i] = -1

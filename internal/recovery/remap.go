@@ -32,13 +32,14 @@ type Remapped struct {
 // through the fingerprint compile cache: suffix graphs are rebuilt
 // deterministically and fingerprint structurally, so re-mapping the
 // same (graph, checkpoint, subset, options) point twice compiles once
-// and returns bit-identical programs. A repeated non-empty point is
-// served from the remap memo without rebuilding the suffix: the hit is
-// a private copy of the Remapped, sharing its suffix graph and origin
-// map (read-only) and a shallow copy of its compile with CacheHit set,
-// as a compile-cache hit is. This is the primitive the tenancy
-// scheduler uses to move surviving tenants when a tenant arrives or
-// departs mid-run, and what the recovery loop uses after a core death.
+// and returns bit-identical programs. A repeated non-empty point whose
+// compile the cache still holds is served from the remap memo without
+// rebuilding the suffix: the hit is the cached compile (a shallow copy
+// with CacheHit set, as a compile-cache hit is), its own graph as the
+// suffix, and the memo's origin map, shared read-only. This is the
+// primitive the tenancy scheduler uses to move surviving tenants when a
+// tenant arrives or departs mid-run, and what the recovery loop uses
+// after a core death.
 func Remap(ctx context.Context, g *graph.Graph, c *Checkpoint, a *arch.Arch, cores []int, opt core.Options) (*Remapped, error) {
 	sub, err := a.Subset(cores)
 	if err != nil {
@@ -48,11 +49,12 @@ func Remap(ctx context.Context, g *graph.Graph, c *Checkpoint, a *arch.Arch, cor
 	var key remapKey
 	if !c.Empty() {
 		key = remapKeyOf(g, c, sub, opt)
-		if rm, ok := remaps.Get(key); ok {
-			out, res := *rm, *rm.Compiled
-			res.CacheHit = true
-			out.Compiled = &res
-			return &out, nil
+		var res *core.Result
+		if e, ok := remaps.GetIf(key, func(e remapEntry) bool {
+			res = core.Lookup(e.compiled)
+			return res != nil
+		}); ok {
+			return &Remapped{Suffix: res.Program.Graph, Origin: e.origin, Compiled: res}, nil
 		}
 		suffix, origin, err = c.suffixGraph(g)
 		if err != nil {
@@ -64,40 +66,49 @@ func Remap(ctx context.Context, g *graph.Graph, c *Checkpoint, a *arch.Arch, cor
 		return nil, fmt.Errorf("recovery: remapping %s onto %d cores: %w", g.Name, len(cores), err)
 	}
 	if origin != nil {
-		// The entry keeps the compiled program's own graph: the suffix
-		// itself or, after a compile-cache hit, one of its fingerprint.
-		stored := *res
-		remaps.Put(key, &Remapped{Suffix: res.Program.Graph, Origin: origin, Compiled: &stored})
+		remaps.Put(key, remapEntry{origin: origin, compiled: res.Key})
 	}
 	return &Remapped{Suffix: suffix, Origin: origin, Compiled: res}, nil
 }
 
-// remapEntries bounds the remap memo. Beyond what the compile cache
-// already holds (the suffix graph is the compiled program's own), an
-// entry holds its key, a bit per layer of the checkpoint, and the
-// suffix's origin map, two layer IDs per suffix layer: under 16 KB for
-// a Table 2 model (at most 220 layers), so a full memo holds under
-// 16 MB.
-const remapEntries = 1024
+// remapEntries bounds the remap memo. perfbench's run-degraded mix
+// (faulted /runs with recovery, and /tenants) remaps 48 distinct points
+// per seed, so the memo holds five such mixes. An entry holds its key,
+// a bit per layer of the checkpoint, and the suffix's origin map, two
+// layer IDs per suffix layer: under 16 KB for a Table 2 model (at most
+// 220 layers), so a full memo holds under 4 MB. The compile itself
+// stays in the compile cache, which an entry names by key only; an
+// entry left stale by core.ResetCache keeps only its origin map until
+// a Put replaces it or it is evicted.
+const remapEntries = 256
 
-// remapKey names one remap point: the compile cache's generation (so
-// no entry outlives the compile it holds: core.ResetCache moves every
-// lookup to a fresh generation), the Fingerprint of the whole graph on
+// remapKey names one remap point: the Fingerprint of the whole graph on
 // the core subset with the options, and the checkpoint's layer set.
 type remapKey struct {
-	gen   uint64
 	point core.CacheKey
 	done  string
 }
 
 func remapKeyOf(g *graph.Graph, c *Checkpoint, sub *arch.Arch, opt core.Options) remapKey {
-	return remapKey{gen: core.CacheGeneration(), point: core.Fingerprint(g, sub, opt), done: c.key()}
+	return remapKey{point: core.Fingerprint(g, sub, opt), done: c.key()}
+}
+
+// remapEntry is what the memo keeps of a remap: the suffix's origin map
+// and its compile's cache key. A hit takes the compile from the compile
+// cache, so after core.ResetCache the entry is stale and misses.
+type remapEntry struct {
+	origin   map[graph.LayerID]graph.LayerID
+	compiled core.CacheKey
 }
 
 // remaps memoizes Remap on non-empty checkpoints, process-wide.
-var remaps = bounded.New[remapKey, *Remapped](remapEntries)
+var remaps = bounded.New[remapKey, remapEntry](remapEntries)
 
 // RemapMemoStats reports cumulative remap memo hits and misses. A remap
 // from an empty checkpoint, a compile-cache lookup already, counts as
 // neither.
 func RemapMemoStats() (hits, misses int64) { return remaps.Stats() }
+
+// ResetRemapMemo drops every memoized remap and zeroes the counters
+// (benchmarks use it to time first-seen remaps on a warm compile cache).
+func ResetRemapMemo() { remaps.Reset() }

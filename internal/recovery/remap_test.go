@@ -221,7 +221,8 @@ type remapKeyInputs struct {
 // The remap memo key changes with every arch and option field, with
 // each layer of the checkpoint, and with the core subset; each such
 // change misses the memo. A hit is DeepEqual to a remap that bypasses
-// the memo, and core.ResetCache leaves nothing for the memo to hit.
+// the memo, and after core.ResetCache the memo misses until the point
+// is compiled again.
 func TestRemapMemoKeyCoversInputs(t *testing.T) {
 	g := models.ByNameMust("MobileNetV2")
 	var ckpt Checkpoint
@@ -252,7 +253,7 @@ func TestRemapMemoKeyCoversInputs(t *testing.T) {
 	core.ResetCache()
 	defer core.ResetCache()
 	if _, hit := remap(&ckpt, []int{0, 1}); hit {
-		t.Fatal("the first remap of a fresh cache generation hit the memo")
+		t.Fatal("the first remap after core.ResetCache hit the memo")
 	}
 	hit, ok := remap(&ckpt, []int{0, 1})
 	if !ok || !hit.Compiled.CacheHit {
@@ -285,7 +286,7 @@ func TestRemapMemoKeyCoversInputs(t *testing.T) {
 	}
 
 	prev := remaps
-	remaps = bounded.New[remapKey, *Remapped](0)
+	remaps = bounded.New[remapKey, remapEntry](0)
 	bypass, err := Remap(nil, g, &ckpt, a, []int{0, 1}, opt)
 	remaps = prev
 	if err != nil {
@@ -303,5 +304,12 @@ func TestRemapMemoKeyCoversInputs(t *testing.T) {
 	core.ResetCache()
 	if _, ok := remap(&ckpt, []int{0, 1}); ok {
 		t.Error("the memo hit after core.ResetCache")
+	}
+	again, ok := remap(&ckpt, []int{0, 1})
+	if !ok {
+		t.Error("the recompiled point missed the memo")
+	}
+	if !bytes.Equal(programBytes(t, again.Compiled), programBytes(t, bypass.Compiled)) || !reflect.DeepEqual(again.Origin, bypass.Origin) {
+		t.Error("the recompiled point's hit differs from the remap before core.ResetCache")
 	}
 }

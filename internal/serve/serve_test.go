@@ -771,7 +771,7 @@ func TestConcurrentFaultedRunsShareLayoutAndRemaps(t *testing.T) {
 // The remap memo shows on /stats: a degraded /run misses it once, and
 // the same request again hits it.
 func TestRunStatsCountRemapMemo(t *testing.T) {
-	core.ResetCache() // a fresh generation: the memo holds nothing for it
+	core.ResetCache() // every remap memo entry now misses
 	defer core.ResetCache()
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
