@@ -117,7 +117,9 @@ func TestCutAtCycleMatchesKillCheckpoint(t *testing.T) {
 
 // On a failed run, the finish cycles the LayerFinish saw before the loss
 // cut at the loss cycle give the engine's own checkpoint, here for the
-// second element of a stream [p, p] killed mid-way.
+// second element of a stream [p, p] killed or hung mid-way on each of
+// its cores (a hang is lost when the watchdog detects it). This is why
+// tenancy cuts every running stream element by CutAtCycle.
 func TestCutAtCycleMatchesFailedStream(t *testing.T) {
 	g := convNet(6)
 	a := arch.Exynos2100Like()
@@ -128,22 +130,30 @@ func TestCutAtCycleMatchesFailedStream(t *testing.T) {
 	clean, _, _ := observe(t, a, Whole(res.Program))
 	T := clean.Stats.TotalCycles
 	stream := append(Whole(res.Program), Whole(res.Program)...)
-	for _, frac := range []float64{1.25, 1.5, 1.75} {
-		fin := NewLayerFinish(stream)
-		_, err := RunConcurrent(a, stream, Config{Hook: fin, Faults: &fault.Plan{
-			Deaths: []fault.Death{{Core: 1, AtCycle: frac * T}},
-		}})
-		l, ok := LossOf(err)
-		if !ok || l.Placement != 1 {
-			t.Fatalf("death at %.2f T: loss %+v (%v), want the second element", frac, l, err)
-		}
-		for _, f := range fin.Finish[0] {
-			if f > T {
-				t.Errorf("death at %.2f T: first element has a layer finishing at %v, after %v", frac, f, T)
+	for _, kind := range []string{"kill", "hang"} {
+		for victim := range a.NumCores() {
+			for _, frac := range []float64{1.25, 1.5, 1.75} {
+				cfg := Config{Faults: &fault.Plan{Deaths: []fault.Death{{Core: victim, AtCycle: frac * T}}}}
+				if kind == "hang" {
+					cfg = Config{Faults: &fault.Plan{Hangs: []fault.Hang{{Core: victim, AtCycle: frac * T}}}, WatchdogCycles: T / 20}
+				}
+				name := fmt.Sprintf("%s of core %d at %.2f T", kind, victim, frac)
+				fin := NewLayerFinish(stream)
+				cfg.Hook = fin
+				_, err := RunConcurrent(a, stream, cfg)
+				l, ok := LossOf(err)
+				if !ok || l.Placement != 1 {
+					t.Fatalf("%s: loss %+v (%v), want the second element", name, l, err)
+				}
+				for _, f := range fin.Finish[0] {
+					if f > T {
+						t.Errorf("%s: first element has a layer finishing at %v, after %v", name, f, T)
+					}
+				}
+				if got := CutAtCycle(res.Program, fin.Finish[1], l.AtCycle); !reflect.DeepEqual(got, l.Completed) {
+					t.Errorf("%s: CutAtCycle = %v, engine checkpoint = %v", name, got, l.Completed)
+				}
 			}
-		}
-		if got := CutAtCycle(res.Program, fin.Finish[1], l.AtCycle); !reflect.DeepEqual(got, l.Completed) {
-			t.Errorf("death at %.2f T: CutAtCycle = %v, engine checkpoint = %v", frac, got, l.Completed)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sim_test
 import (
 	. "repro/internal/sim"
 
+	"errors"
 	"math"
 	"testing"
 
@@ -115,32 +116,59 @@ func TestConcurrentRejectsBadPlacements(t *testing.T) {
 	global := arch.Exynos2100Like()
 	g := models.TinyCNN()
 	p := compileOn(t, g, global, []int{0})
-
-	// Partially overlapping cores.
 	wide := compileOn(t, g, global, []int{0, 1})
-	if _, err := RunConcurrent(global, []Placement{p, wide}, Config{}); err == nil {
-		t.Error("partially overlapping placement accepted")
-	}
-	// The same cores in another order overlap partially too.
 	swapped := compileOn(t, g, global, []int{1, 0})
-	if _, err := RunConcurrent(global, []Placement{wide, swapped}, Config{}); err == nil {
-		t.Error("reordered core list accepted as a stream")
+	bad := p
+	bad.Cores = []int{7}
+	twice := wide
+	twice.Cores = []int{1, 1}
+	for _, tc := range []struct {
+		name       string
+		placements []Placement
+		want       CoreConflictError
+	}{
+		{"partial overlap", []Placement{p, wide}, CoreConflictError{Workload: 1, Core: 0, Owner: 0}},
+		// The same cores in another order overlap partially too.
+		{"reordered core list", []Placement{wide, swapped}, CoreConflictError{Workload: 1, Core: 1, Owner: 0}},
+		// A stream's cores belong to its last element.
+		{"overlap with a stream", []Placement{p, p, wide}, CoreConflictError{Workload: 2, Core: 0, Owner: 1}},
+		{"out-of-range core", []Placement{bad}, CoreConflictError{Workload: 0, Core: 7, Owner: -1}},
+		{"core listed twice", []Placement{twice}, CoreConflictError{Workload: 0, Core: 1, Owner: 0}},
+	} {
+		tc.want.NumCores = global.NumCores()
+		for _, check := range []struct {
+			name string
+			run  func() error
+		}{
+			{"RunConcurrent", func() error { _, err := RunConcurrent(global, tc.placements, Config{}); return err }},
+			{"RunConcurrentReference", func() error {
+				_, err := RunConcurrentReference(global, tc.placements, Config{})
+				return err
+			}},
+			{"CheckCores", func() error { return CheckCores(global, tc.placements) }},
+		} {
+			var cc *CoreConflictError
+			if err := check.run(); !errors.As(err, &cc) {
+				t.Errorf("%s: %s: want *CoreConflictError, got %T: %v", tc.name, check.name, err, err)
+			} else if *cc != tc.want {
+				t.Errorf("%s: %s: %+v, want %+v", tc.name, check.name, *cc, tc.want)
+			}
+		}
 	}
 	// Identical core lists form a stream instead.
 	if _, err := RunConcurrent(global, []Placement{p, p}, Config{}); err != nil {
 		t.Errorf("identical placements rejected: %v", err)
 	}
-	// Out-of-range core.
-	bad := p
-	bad.Cores = []int{7}
-	if _, err := RunConcurrent(global, []Placement{bad}, Config{}); err == nil {
-		t.Error("out-of-range core accepted")
-	}
-	// Mismatched width.
+	// A width mismatch is the program's fault, not the core list's:
+	// CheckCores passes it and engine setup rejects it.
 	bad2 := p
 	bad2.Cores = []int{0, 1}
-	if _, err := RunConcurrent(global, []Placement{bad2}, Config{}); err == nil {
-		t.Error("width mismatch accepted")
+	if err := CheckCores(global, []Placement{bad2}); err != nil {
+		t.Errorf("CheckCores read the program: %v", err)
+	}
+	var cc *CoreConflictError
+	if _, err := RunConcurrent(global, []Placement{bad2}, Config{}); err == nil || errors.As(err, &cc) {
+		t.Errorf("width mismatch: %v", err)
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/arch"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/plan"
@@ -215,21 +216,66 @@ type Placement struct {
 	Cores   []int
 }
 
-// placementOwners checks placements (widths, core ranges, disjoint or
-// repeated core lists), fills owner (global core -> last placement on
-// it; the caller fills it with -1) and returns each placement's stream
-// predecessor (-1 for none), reusing after; empty when no core list
-// repeats.
+// CoreConflictError reports a placement whose core list breaks the
+// placement rule (see Placement): a core out of range, a core listed
+// twice, or a core shared with an earlier placement whose list differs.
+type CoreConflictError struct {
+	// Workload is the index of the offending placement.
+	Workload int
+	// Core is the offending global core index.
+	Core int
+	// Owner is the last earlier placement on Core, Workload itself when
+	// it lists Core twice, or -1 when Core is out of range.
+	Owner int
+	// NumCores is the architecture's core count.
+	NumCores int
+}
+
+func (e *CoreConflictError) Error() string {
+	switch e.Owner {
+	case -1:
+		return fmt.Sprintf("sim: placement %d claims core %d, out of range (0..%d)",
+			e.Workload, e.Core, e.NumCores-1)
+	case e.Workload:
+		return fmt.Sprintf("sim: placement %d claims core %d twice", e.Workload, e.Core)
+	}
+	return fmt.Sprintf("sim: placements %d and %d both claim core %d without listing the same cores",
+		e.Owner, e.Workload, e.Core)
+}
+
+// CheckCores applies the placement rule to the core lists of
+// placements on a without reading their programs, so a caller can
+// reject a bad placement before compiling anything. Both engines apply
+// the same rule (placementOwners).
+func CheckCores(a *arch.Arch, placements []Placement) error {
+	_, err := claimCores(placements, resizeFill(nil, a.NumCores(), int32(-1)), nil)
+	return err
+}
+
+// placementOwners checks placements (widths, then claimCores), fills
+// owner (global core -> last placement on it; the caller fills it with
+// -1) and returns each placement's stream predecessor (-1 for none),
+// reusing after; empty when no core list repeats.
 func placementOwners(placements []Placement, owner, after []int32) ([]int32, error) {
-	after = after[:0]
 	for pi, pl := range placements {
 		if len(pl.Cores) != len(pl.Program.Cores) {
 			return nil, fmt.Errorf("sim: placement %d maps %d cores for a %d-core program",
 				pi, len(pl.Cores), len(pl.Program.Cores))
 		}
+	}
+	return claimCores(placements, owner, after)
+}
+
+// claimCores is the placement rule on core lists alone: every core in
+// range and listed once per placement, and placements sharing a core
+// listing exactly the same cores. It fills owner and returns after as
+// placementOwners does, or the first violation as a *CoreConflictError.
+func claimCores(placements []Placement, owner, after []int32) ([]int32, error) {
+	after = after[:0]
+	for pi, pl := range placements {
 		for i, c := range pl.Cores {
 			if c < 0 || c >= len(owner) {
-				return nil, fmt.Errorf("sim: placement %d core %d out of range", pi, c)
+				return nil, &CoreConflictError{Workload: pi, Core: c, Owner: -1, NumCores: len(owner)}
 			}
 			q := owner[c]
 			if q < 0 {
@@ -237,7 +283,7 @@ func placementOwners(placements []Placement, owner, after []int32) ([]int32, err
 				continue
 			}
 			if i > 0 || !slices.Equal(placements[q].Cores, pl.Cores) {
-				return nil, fmt.Errorf("sim: core %d claimed by placements %d and %d", c, q, pi)
+				return nil, &CoreConflictError{Workload: pi, Core: c, Owner: int(q), NumCores: len(owner)}
 			}
 			if len(after) == 0 {
 				after = resizeFill(after, len(placements), -1)

@@ -197,11 +197,9 @@ func Run(a *arch.Arch, tenants []Tenant, opts Options) (*Report, error) {
 					continue
 				}
 				runs[i].running = true
-				if lost && j == loss.Placement {
-					runs[i].cut = loss.Completed // the engine's own checkpoint
-				} else {
-					runs[i].cut = sim.CutAtCycle(placements[j].Program, fin.Finish[j], cut)
-				}
+				// At a loss cycle this is the engine's own checkpoint
+				// for the failed element.
+				runs[i].cut = sim.CutAtCycle(placements[j].Program, fin.Finish[j], cut)
 				break
 			}
 			p += counts[i]

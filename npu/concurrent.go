@@ -28,68 +28,29 @@ type MultiReport struct {
 	Stats SimStats
 	// PerWorkloadUS is each workload's completion time in microseconds,
 	// indexed exactly like the input workload slice (PerWorkloadUS[i]
-	// is workloads[i]; Stats.ProgramCycles shares the ordering).
+	// is workloads[i]; Stats.ProgramCycles shares the ordering). A
+	// workload that follows another on the same cores starts when that
+	// one retires, so its time includes the wait for its predecessor.
 	PerWorkloadUS []float64
 	// Arch is the shared platform.
 	Arch *Arch
 }
 
-// CoreConflictError reports an invalid concurrent placement detected
-// before any workload is compiled: a workload claiming a core outside
-// the architecture, or one already claimed by an earlier workload.
-type CoreConflictError struct {
-	// Workload is the index of the offending workload.
-	Workload int
-	// Core is the offending global core index.
-	Core int
-	// Owner is the earlier workload already holding Core, or -1 when
-	// the core is simply out of range (or claimed twice by Workload
-	// itself, in which case Owner == Workload).
-	Owner int
-	// NumCores is the architecture's core count.
-	NumCores int
-}
-
-func (e *CoreConflictError) Error() string {
-	if e.Owner < 0 {
-		return fmt.Sprintf("npu: workload %d claims core %d, out of range (0..%d)",
-			e.Workload, e.Core, e.NumCores-1)
-	}
-	if e.Owner == e.Workload {
-		return fmt.Sprintf("npu: workload %d claims core %d twice", e.Workload, e.Core)
-	}
-	return fmt.Sprintf("npu: workloads %d and %d both claim core %d", e.Owner, e.Workload, e.Core)
-}
-
-// validateWorkloads checks every workload's core claim — in range and
-// disjoint across (and within) workloads — before any compilation
-// happens, so a misconfigured placement fails fast with a typed error
-// instead of after seconds of compile work (or, worse, silently
-// overlapping in a caller that never simulates).
-func validateWorkloads(a *Arch, workloads []Workload) error {
-	ncores := a.NumCores()
-	owner := make([]int, ncores)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for wi, w := range workloads {
-		for _, c := range w.Cores {
-			if c < 0 || c >= ncores {
-				return &CoreConflictError{Workload: wi, Core: c, Owner: -1, NumCores: ncores}
-			}
-			if owner[c] >= 0 {
-				return &CoreConflictError{Workload: wi, Core: c, Owner: owner[c], NumCores: ncores}
-			}
-			owner[c] = wi
-		}
-	}
-	return nil
-}
+// CoreConflictError reports a workload whose core list breaks the
+// placement rule, detected before any workload is compiled: a core out
+// of range (Owner -1), a core listed twice (Owner == Workload), or a
+// core shared with an earlier workload whose list differs.
+type CoreConflictError = sim.CoreConflictError
 
 // RunConcurrent compiles each workload for its core subset and
 // simulates them together on one architecture, sharing the global
 // memory bus — the multi-network concurrency scenario that motivates
-// multicore NPU designs in the paper's introduction.
+// multicore NPU designs in the paper's introduction. Workloads on
+// disjoint cores run side by side; workloads listing exactly the same
+// cores run back to back in slice order, each starting when the one
+// before it retires (time multiplexing, a sim.Placement stream). Any
+// other overlap, an out-of-range core or a core listed twice is a
+// *CoreConflictError.
 func RunConcurrent(a *Arch, workloads []Workload) (*MultiReport, error) {
 	return RunConcurrentCtx(nil, a, workloads, SimConfig{})
 }
@@ -103,13 +64,16 @@ func RunConcurrent(a *Arch, workloads []Workload) (*MultiReport, error) {
 // options) points compile once. A nil ctx and zero cfg behave exactly
 // like RunConcurrent.
 func RunConcurrentCtx(ctx context.Context, a *Arch, workloads []Workload, cfg SimConfig) (*MultiReport, error) {
-	if err := validateWorkloads(a, workloads); err != nil {
+	placements := make([]sim.Placement, len(workloads))
+	for i, w := range workloads {
+		placements[i].Cores = w.Cores
+	}
+	if err := sim.CheckCores(a, placements); err != nil {
 		return nil, err
 	}
 	if ctx != nil {
 		cfg.Ctx = ctx
 	}
-	placements := make([]sim.Placement, len(workloads))
 	for i, w := range workloads {
 		sub, err := a.Subset(w.Cores)
 		if err != nil {
@@ -119,7 +83,7 @@ func RunConcurrentCtx(ctx context.Context, a *Arch, workloads []Workload, cfg Si
 		if err != nil {
 			return nil, fmt.Errorf("workload %d (%s): %w", i, w.Graph.Name, err)
 		}
-		placements[i] = sim.Placement{Program: res.Program, Cores: w.Cores}
+		placements[i].Program = res.Program
 	}
 	out, err := sim.RunConcurrent(a, placements, cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package npu_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -225,5 +226,36 @@ func TestPerWorkloadOrderPartialKill(t *testing.T) {
 	if cf.Partial.ProgramCycles[1] > cf.AtCycle {
 		t.Errorf("dead placement progressed past the kill: %.0f > %.0f",
 			cf.Partial.ProgramCycles[1], cf.AtCycle)
+	}
+}
+
+// Workloads listing the same cores form a stream: the second starts
+// when the first retires, so time multiplexing the whole NPU is one
+// RunConcurrent and the second completes after both isolated runs.
+func TestRunConcurrentStreamTimeMultiplexes(t *testing.T) {
+	a := npu.Exynos2100Like()
+	det := npu.BuildModel("MobileNetV2-SSD")
+	cls := npu.BuildModel("MobileNetV2")
+	all := []int{0, 1, 2}
+	rep, err := npu.RunConcurrent(a, []npu.Workload{
+		{Graph: det, Cores: all, Options: npu.Stratum()},
+		{Graph: cls, Cores: all, Options: npu.Stratum()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := make([]float64, 2)
+	for i, g := range []*npu.Graph{det, cls} {
+		r, err := npu.Run(g, a, npu.Stratum())
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = r.LatencyMicros()
+	}
+	if got := rep.PerWorkloadUS[0]; math.Abs(got-alone[0]) > 1e-9*alone[0] {
+		t.Errorf("first workload done at %v us, alone %v us", got, alone[0])
+	}
+	if got, want := rep.PerWorkloadUS[1], alone[0]+alone[1]; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("second workload done at %v us, isolated latencies sum to %v us", got, want)
 	}
 }

@@ -284,16 +284,19 @@ func Explore(ctx context.Context, g *Graph, a *Arch, base Options, seed uint64) 
 	return dse.Explore(ctx, g, a, base, seed)
 }
 
-// RunBatch simulates n back-to-back inferences and returns the
-// steady-state inference period in microseconds (sustained-throughput
-// metric) next to the single-shot latency report. A zero or negative
-// clock yields 0, matching the LatencyMicros contract.
+// RunBatch simulates n back-to-back inferences on the whole NPU and
+// returns the average inference period in microseconds (the
+// sustained-throughput metric). The inferences run as one stream, the
+// way RunConcurrent runs workloads listing the same cores: each starts
+// when the one before it retires, so the period equals the single-shot
+// latency. A zero or negative clock yields 0, matching the
+// LatencyMicros contract.
 func RunBatch(g *Graph, a *Arch, opt Options, n int) (periodUS float64, err error) {
 	res, err := Compile(g, a, opt)
 	if err != nil {
 		return 0, err
 	}
-	period, _, err := sim.Throughput(res.Program, n, sim.Config{})
+	period, err := sim.Throughput(res.Program, n, sim.Config{})
 	if err != nil {
 		return 0, err
 	}
